@@ -127,8 +127,7 @@ def _write_report(path: Path, mid: str, report) -> None:
     lines.append("fit_train " + " ".join(_format(v) for v in report.fit_train))
     if report.fit_valid is not None:
         lines.append("fit_valid " + " ".join(_format(v) for v in report.fit_valid))
-    for key in ("shift_residual", "predictor_radius", "numerical_rank",
-                "future_input_crosscorr", "future_input_crosscorr_normalized"):
+    for key in ("shift_residual", "predictor_radius", "numerical_rank"):
         lines.append(f"{key} {report.diagnostics[key]!r}")
     path.write_text("\n".join(lines) + "\n")
 

@@ -254,7 +254,12 @@ class MpcController:
                 diag["error"] = str(exc)
                 dU = np.zeros(self.cfg.M * self.model.m)
                 active = []
-        u_k = self.u_prev + dU[: self.model.m]
+        m = self.model.m
+        if self.cfg.du_max is not None:
+            # solve_qp meets each row only to within its tolerance, so a move
+            # on the move limit can pass it by about 1e-9; apply the limit
+            dU[:m] = np.clip(dU[:m], -self.cfg.du_max, self.cfg.du_max)
+        u_k = self.u_prev + dU[:m]
         diag["J"] = self.tracking_cost(self._free, self._ref, dU)
         diag["active"] = active
         diag["yhat"] = self._free + self.Theta @ dU

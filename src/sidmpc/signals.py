@@ -231,7 +231,8 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv (or hand-authored in that layout).
 
     The header must contain a 't' column plus channels prefixed 'u' / 'y'.
-    Row numbers in error messages count data rows from 1.
+    Row numbers in error messages count data rows from 1, so row k is line
+    k + 1 of the file.  Every value must be finite.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -260,6 +261,8 @@ def load_csv(path) -> Dataset:
                 vals = [float(v) for v in row]
             except ValueError as exc:
                 raise ConfigError(f"{path}: row {rownum}: {exc}") from None
+            if not all(np.isfinite(vals)):
+                raise ConfigError(f"{path}: row {rownum}: non-finite value in {row}")
             t_vals.append(vals[t_idx])
             u_rows.append([vals[i] for i in u_idx])
             y_rows.append([vals[i] for i in y_idx])

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import ConfigError, ConvergenceError
 from .signals import Dataset, _format
 
 
@@ -281,22 +281,42 @@ def save_model(model: StateSpaceModel, path) -> None:
 
 
 def load_model(path) -> StateSpaceModel:
+    """Read a file written by save_model.
+
+    Malformed content raises ConfigError naming the file and the line,
+    counting every line of the file from 1.
+    """
     with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    if not raw or not raw[0].startswith("sidmpc-model"):
-        raise NumericalError(f"{path}: not a model file")
-    if not raw[1].startswith("ts ") or not raw[2].startswith("dims "):
-        raise NumericalError(f"{path}: malformed model header")
-    ts = float(raw[1].split()[1])
-    n, m, p = (int(v) for v in raw[2].split()[1:4])
-    rows = {"A": n, "B": n, "C": p, "D": p, "K": n}
-    mats = {}
-    i = 3
-    for name, nr in rows.items():
-        if i >= len(raw) or raw[i] != name:
-            raise NumericalError(f"{path}: expected matrix {name} at line {i + 1}")
-        i += 1
-        block = [[float(v) for v in raw[i + r].split()] for r in range(nr)]
-        mats[name] = np.asarray(block, dtype=float)
-        i += nr
-    return StateSpaceModel(mats["A"], mats["B"], mats["C"], mats["D"], mats["K"], ts)
+        text = fh.read().splitlines()
+    lines = iter([(num, ln.split()) for num, ln in enumerate(text, start=1) if ln.strip()])
+
+    def values(what: str, key, count: int, kind=float) -> list:
+        """The `count` finite values on the next line, after `key` if given."""
+        try:
+            num, toks = next(lines)
+        except StopIteration:
+            raise ConfigError(
+                f"{path}: file ends after line {len(text)}, before {what}"
+            ) from None
+        try:
+            if key is not None and toks[:1] != [key]:
+                raise ValueError
+            vals = [kind(t) for t in toks[key is not None:]]
+            # header values (version, ts, dims) must be positive
+            ok = (len(vals) == count and all(abs(v) < np.inf for v in vals)
+                  and (key is None or all(v > 0 for v in vals)))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ConfigError(f"{path}: line {num}: expected {what}, got {' '.join(toks)!r}")
+        return vals
+
+    values("the 'sidmpc-model' header", "sidmpc-model", 1, int)
+    (ts,) = values("'ts' and a positive sampling interval", "ts", 1)
+    n, m, p = values("'dims' and three positive integers", "dims", 3, int)
+    mats = []
+    for name, nr, nc in (("A", n, n), ("B", n, m), ("C", p, n), ("D", p, m), ("K", n, p)):
+        values(f"matrix {name}", name, 0)
+        mats.append([values(f"a row of {nc} finite numbers of matrix {name}", None, nc)
+                     for _ in range(nr)])
+    return StateSpaceModel(*mats, ts)

@@ -1,24 +1,31 @@
 """Subspace identification of innovation-form models from input/output data.
 
-Pipeline: stack past inputs/outputs and future inputs/outputs into block
-Hankel matrices, regress the future outputs jointly on the past and the
-future inputs, keep the past-coefficient block H_fp, factor H_fp Z_p by a
-singular value decomposition, truncate to the model order, and read the
-system matrices off the extended observability factor and the recovered
-state sequence:
+Pipeline: stack past inputs/outputs Z_p, future inputs U_f and future
+outputs Y_f into one block Hankel array W = [Z_p; U_f; Y_f] and factor it
+once as W = L Q^T (a QR of W^T; Q is never formed).  `project_hfp`, run on
+the leading columns of L, regresses Y_f jointly on [Z_p; U_f], checks that
+the two row spaces do not overlap and keeps the past-coefficient block H_fp.
+As H_fp Z_p = H_fp L_11 Q_1^T, the small H_fp L_11 has the singular values S
+and left singular vectors U of H_fp Z_p.  Truncated to order n,
+U_n S_n^{1/2} is the extended observability factor and
+X_n = S_n^{-1/2} U_n^T H_fp Z_p the state sequence; the system matrices are
+read off them:
 
   * C is the top block of the observability factor.
   * D comes from regressing y_k on (x_k, u_k).
   * One joint regression of x_{k+1} on (x_k, u_k, y_k) yields the predictor
     matrices (A - K C, B - K D, K); adding back the K terms gives A and B.
 
-The separate shift-invariance estimate on the observability factor serves
-as a consistency diagnostic: its least-squares residual must vanish on
+AIC on the one-step prediction residuals picks the order from a range, and
+a model whose predictor A - K C is not stable is refused.  The separate
+shift-invariance estimate on the observability factor serves as a
+consistency diagnostic: its least-squares residual must vanish on
 noise-free data.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,35 +126,42 @@ def _numerical_rank(s: np.ndarray) -> int:
     return int(np.sum(s > s[0] * RANK_TOL))
 
 
+def _lq(W: np.ndarray) -> np.ndarray:
+    """Lower-triangular L of W = L Q^T, from the R of a QR of W^T."""
+    return np.linalg.qr(W.T, mode="r").T
+
+
 def project_hfp(Y_f, Z_p, U_f):
     """Past-block coefficient of the joint regression of Y_f on [Z_p; U_f].
 
     Equivalent to projecting out the future inputs and regressing on the
     past, but computed in one least-squares solve for conditioning.  The
-    past rows and the future-input rows must span independent directions;
-    otherwise the future-input contribution cannot be separated and the
-    excitation must be improved.
+    result depends only on the rows' inner products, so data with more
+    columns than rows is first replaced by L in [Z_p; U_f; Y_f] = L Q^T.
+    The past rows and the future-input rows must span independent
+    directions; otherwise the future-input contribution cannot be separated
+    and the excitation must be improved.
     """
-    Y_f = np.asarray(Y_f, dtype=float)
-    Z_p = np.asarray(Z_p, dtype=float)
-    U_f = np.asarray(U_f, dtype=float)
+    Y_f, Z_p, U_f = (np.asarray(a, dtype=float) for a in (Y_f, Z_p, U_f))
     if not (Y_f.shape[1] == Z_p.shape[1] == U_f.shape[1]):
         raise ConfigError(
             f"column counts differ: Y_f {Y_f.shape[1]}, Z_p {Z_p.shape[1]}, "
             f"U_f {U_f.shape[1]}"
         )
-    R = np.vstack([Z_p, U_f])
-    s_r = np.linalg.svd(R, compute_uv=False)
-    s_z = np.linalg.svd(Z_p, compute_uv=False)
-    s_u = np.linalg.svd(U_f, compute_uv=False)
-    if _numerical_rank(s_r) < _numerical_rank(s_z) + _numerical_rank(s_u):
+    kz, kr = Z_p.shape[0], Z_p.shape[0] + U_f.shape[0]
+    W = np.vstack([Z_p, U_f, Y_f])
+    if W.shape[1] > W.shape[0]:
+        W = _lq(W)
+    ranks = [_numerical_rank(np.linalg.svd(B, compute_uv=False))
+             for B in (W[:kr], W[:kz], W[kz:kr])]
+    if ranks[0] < ranks[1] + ranks[2]:
         raise NumericalError(
             "past and future-input row spaces overlap; the regression cannot "
             "separate them. Use richer excitation (longer record, or distinct "
             "phase offsets between input channels)."
         )
-    coef, *_ = np.linalg.lstsq(R.T, Y_f.T, rcond=None)
-    return coef.T[:, : Z_p.shape[0]]
+    coef, *_ = np.linalg.lstsq(W[:kr].T, W[kr:].T, rcond=None)
+    return coef.T[:, :kz]
 
 
 def aic_scores(residual_covariances, n_params, N: int):
@@ -176,17 +190,18 @@ def aic_order_select(residual_covariances, n_params, N: int) -> int:
         raise NumericalError(
             f"all candidate orders had singular residual covariance: {skipped}"
         )
-    best = min(sorted(scores), key=lambda n: (scores[n], n))
-    return best
+    return min(sorted(scores), key=lambda n: (scores[n], n))
 
 
-def _recover_order(n, U_, S, Vt, u, y, p_past, n_cols):
-    """System matrices for one truncation order from the SVD factors."""
+def _recover_order(n, U_, S, P, u, y, p_past):
+    """System matrices for one truncation order from the SVD U_ S V^T of
+    H_fp Z_p and the leading rows of P = U_^T H_fp Z_p = S V^T."""
     m = u.shape[1]
     py = y.shape[1]
+    n_cols = P.shape[1]
     sq = np.sqrt(S[:n])
     Gam = U_[:, :n] * sq                # extended observability estimate
-    X = (Vt[:n, :].T * sq).T            # state sequence, n x n_cols
+    X = P[:n] / sq[:, None]             # state sequence, n x n_cols
     C_hat = Gam[:py].copy()
 
     U_cur = u[p_past : p_past + n_cols].T
@@ -198,10 +213,7 @@ def _recover_order(n, U_, S, Vt, u, y, p_past, n_cols):
 
     reg_st = np.vstack([X[:, :-1], U_cur[:, :-1], Y_cur[:, :-1]])
     TH, *_ = np.linalg.lstsq(reg_st.T, X[:, 1:].T, rcond=None)
-    TH = TH.T
-    A_K = TH[:, :n]
-    B_1 = TH[:, n : n + m]
-    K_hat = TH[:, n + m :]
+    A_K, B_1, K_hat = np.split(TH.T, [n, n + m], axis=1)
 
     A_hat = A_K + K_hat @ C_hat
     B_hat = B_1 + K_hat @ D_hat
@@ -234,7 +246,8 @@ def estimate_n4sid(
     The record must already be expressed as deviations around the operating
     point (zero-mean in the ideal case); no centering is applied here.
     When `valid` is given, the report carries the deterministic-simulation
-    fit on that record as well.
+    fit on that record as well.  A chosen model whose predictor A - K C is
+    not stable raises NumericalError.
     """
     f, p_past = cfg.f, cfg.p
     n_max = cfg.n_max
@@ -253,16 +266,19 @@ def estimate_n4sid(
         )
 
     z = np.hstack([d.u, d.y])
-    # past block: rows ordered z_{k-1}, z_{k-2}, ..., z_{k-p}
-    Z_p = np.vstack(
+    kz = (m + py) * p_past
+    kr = kz + m * f
+    # one array W = [Z_p; U_f; Y_f]; past block rows are ordered
+    # z_{k-1}, z_{k-2}, ..., z_{k-p}
+    W = np.vstack(
         [block_hankel(z, p_past - 1 - j, 1, n_cols) for j in range(p_past)]
+        + [block_hankel(d.u, p_past, f, n_cols), block_hankel(d.y, p_past, f, n_cols)]
     )
-    U_f = block_hankel(d.u, p_past, f, n_cols)
-    Y_f = block_hankel(d.y, p_past, f, n_cols)
+    Z_p = W[:kz]
+    L = _lq(W)
 
-    H_fp = project_hfp(Y_f, Z_p, U_f)
-    G = H_fp @ Z_p
-    U_, S, Vt = np.linalg.svd(G, full_matrices=False)
+    H_fp = project_hfp(L[kr:, :kr], L[:kz, :kr], L[kz:kr, :kr])
+    U_, S, _ = np.linalg.svd(H_fp @ L[:kz, :kz], full_matrices=False)
     rank = _numerical_rank(S)
 
     candidates = [n for n in cfg.candidates() if n <= rank]
@@ -271,73 +287,55 @@ def estimate_n4sid(
             f"requested order(s) {cfg.candidates()} exceed the numerical rank "
             f"{rank} of the projected data"
         )
+    P = (U_[:, : candidates[-1]].T @ H_fp) @ Z_p
 
+    by_aic = len(candidates) > 1
     covs: dict[int, np.ndarray] = {}
     kparams: dict[int, int] = {}
-    models: dict[int, tuple] = {}
+    models: dict[int, StateSpaceModel] = {}
+    shift_res: dict[int, float] = {}
     for n in candidates:
-        rec = _recover_order(n, U_, S, Vt, d.u, d.y, p_past, n_cols)
-        models[n] = rec
-        if len(candidates) > 1:
-            trial = _build_model(rec, d.ts, quiet=True)
-            covs[n] = _residual_covariance(trial, d, burn_in=p_past)
+        *mats, shift_res[n] = _recover_order(n, U_, S, P, d.u, d.y, p_past)
+        # an unstable chosen model is refused below; rejected ones stay silent
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            models[n] = StateSpaceModel(*mats, d.ts)
+        if by_aic:
+            covs[n] = _residual_covariance(models[n], d, burn_in=p_past)
             kparams[n] = n * (m + py) + n * py + py * m
 
-    skipped: list[int] = []
-    scores_vec = None
-    if len(candidates) > 1:
+    chosen, scores_vec, skipped = candidates[0], None, []
+    if by_aic:
+        chosen = aic_order_select(covs, kparams, d.N)
         scores, skipped = aic_scores(covs, kparams, d.N)
-        if not scores:
-            raise NumericalError(
-                f"AIC selection failed: all candidate orders {candidates} had "
-                "singular residual covariance"
-            )
-        chosen = min(sorted(scores), key=lambda nn: (scores[nn], nn))
         scores_vec = np.array([scores.get(nn, np.nan) for nn in candidates])
-    else:
-        chosen = candidates[0]
 
-    model = _build_model(models[chosen], d.ts)
-    shift_res = models[chosen][5]
-
-    # open-loop check: regression residuals vs future inputs
-    coef, *_ = np.linalg.lstsq(np.vstack([Z_p, U_f]).T, Y_f.T, rcond=None)
-    E_f = Y_f - coef.T @ np.vstack([Z_p, U_f])
-    cross = E_f @ U_f.T / n_cols
-    scale = (np.linalg.norm(E_f) * np.linalg.norm(U_f) / n_cols) or 1.0
+    model = models[chosen]
+    radius = predictor_radius(model)
+    if radius >= 1.0:
+        raise NumericalError(
+            f"the order-{chosen} model has an unstable predictor: A - K C has "
+            f"spectral radius {radius:.6g} >= 1"
+        )
 
     fit_train = _simulation_fit(model, d)
     fit_valid = _simulation_fit(model, valid) if valid is not None else None
 
     return IdentificationReport(
         model=model,
-        singular_values=S.copy(),
+        singular_values=S,
         chosen_order=int(chosen),
         aic_scores=scores_vec,
         fit_train=fit_train,
         fit_valid=fit_valid,
         diagnostics={
-            "shift_residual": shift_res,
-            "predictor_radius": predictor_radius(model),
+            "shift_residual": shift_res[chosen],
+            "predictor_radius": radius,
             "numerical_rank": rank,
-            "aic_candidates": candidates if len(candidates) > 1 else None,
+            "aic_candidates": candidates if by_aic else None,
             "aic_skipped": skipped or None,
-            "future_input_crosscorr": float(np.linalg.norm(cross)),
-            "future_input_crosscorr_normalized": float(np.linalg.norm(cross) / scale),
         },
     )
-
-
-def _build_model(rec, ts, quiet: bool = False) -> StateSpaceModel:
-    A, B, C, D, K, _ = rec
-    if not quiet:
-        return StateSpaceModel(A, B, C, D, K, ts)
-    import warnings
-
-    # rejected AIC candidates should not spam predictor-stability warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return StateSpaceModel(A, B, C, D, K, ts)
 
 
 def _simulation_fit(model: StateSpaceModel, d: Dataset) -> np.ndarray:

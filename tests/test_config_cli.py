@@ -12,6 +12,8 @@ from sidmpc.config import (ControllerSettings, load_experiment_config,
 from sidmpc.errors import ConfigError
 from sidmpc.plant import make_default_fccu
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
 BASE_INI = """\
 [plant]
 preset = default-fccu
@@ -332,6 +334,36 @@ def test_bad_taps_exit_1(tmp_path, rooted, capsys):
         "clock_period = 1", "clock_period = 1\ntaps = 4 2"))
     assert run_cli("identify", str(path)) == 1
     assert "not primitive" in capsys.readouterr().err
+
+
+def test_control_on_truncated_model_exits_1(tmp_path, rooted, capsys):
+    path = write_ini(tmp_path)
+    assert run_cli("identify", str(path)) == 0
+    model = rooted / "runs/exp/ident/model_a.txt"
+    model.write_text("\n".join(model.read_text().splitlines()[:5]) + "\n")
+    capsys.readouterr()
+    assert run_cli("control", str(path), "--mode", "single") == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "model_a.txt" in err
+    assert "Traceback" not in err
+
+
+def test_identify_refuses_unstable_predictor(tmp_path, rooted, capsys):
+    # shipped identification settings with this plant-noise seed give an
+    # order-3 'asym' model whose predictor A - K C has radius 1.0107
+    text = (CONFIG_DIR / "fccu-tracking.ini").read_text()
+    assert text.count("seed = 0\n") == 1
+    text = text.replace("seed = 0\n", "seed = 905266064\n")
+    text = text.replace("directory = out/fccu-tracking", "directory = runs/unstable")
+    path = tmp_path / "unstable.ini"
+    path.write_text(text)
+    assert run_cli("identify", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "order-3" in err and "radius 1.01" in err
+    assert "Traceback" not in err
+    ident = rooted / "runs/unstable/ident"
+    assert (ident / "model_default.txt").exists()
+    assert not (ident / "model_asym.txt").exists()
 
 
 def test_prbs_preview(tmp_path, rooted, capsys):

@@ -257,6 +257,23 @@ def test_unrecoverable_step_holds_input():
     assert u_k[0] == pytest.approx(5.0)
 
 
+def test_applied_move_keeps_the_move_limit_exactly(monkeypatch):
+    # the QP solver meets rows only to within its tolerance; a solution that
+    # passes du_max by 1e-9 is applied on the limit itself
+    import sidmpc.mpc as mpc
+
+    def overshooting(qp, **kwargs):
+        return np.array([0.1 + 1e-9, -0.1 - 1e-9]), [0], 1
+
+    md = scalar_model()
+    cfg = MpcConfig(P=3, M=2, Q_weights=[1.0], R_weights=[0.0],
+                    du_max=[0.1], **WIDE)
+    ctrl = MpcController(md, cfg)
+    monkeypatch.setattr(mpc, "solve_qp", overshooting)
+    u_k, diag = ctrl.control_step([0.0], [1.0])
+    assert diag["du"][0] == 0.1 and u_k[0] == 0.1
+
+
 def test_time_varying_weights_accepted():
     md = scalar_model()
     Q = np.linspace(1.0, 2.0, 4).reshape(4, 1)

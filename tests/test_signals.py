@@ -198,6 +198,14 @@ def test_csv_ragged_row_named(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_csv_non_finite_value_names_row(tmp_path, value):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"t,u1,y1\n0.0,1,1\n0.5,{value},1\n1.0,1,1\n")
+    with pytest.raises(ConfigError, match=r"nonfinite\.csv: row 2"):
+        load_csv(path)
+
+
 def test_csv_missing_columns(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("a,b,c\n1,2,3\n")

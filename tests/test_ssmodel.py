@@ -8,7 +8,7 @@ a scalar fixed-point iteration run to 1e-12 for the Riccati equation.
 import numpy as np
 import pytest
 
-from sidmpc.errors import ConvergenceError
+from sidmpc.errors import ConfigError, ConvergenceError
 from sidmpc.signals import Dataset
 from sidmpc.ssmodel import (
     KalmanState,
@@ -279,3 +279,45 @@ def test_serialization_round_trip(tmp_path):
     for name in ("A", "B", "C", "D", "K"):
         np.testing.assert_array_equal(getattr(back, name), getattr(md, name))
     assert back.ts == md.ts
+
+
+def _corrupt(lines, case):
+    """One malformed variant of a saved model file, and the line it names."""
+    a_row = lines.index("A") + 1
+    if case == "empty":
+        return [], "after line 0"
+    if case == "header only":
+        return lines[:1], "after line 1"
+    if case == "cut inside A":
+        return lines[: a_row + 1], f"after line {a_row + 1}"
+    if case == "wide row":
+        return lines[:a_row] + [lines[a_row] + " 1.0"] + lines[a_row + 1:], \
+            f"line {a_row + 1}"
+    if case == "nan entry":
+        bad = " ".join(["nan"] + lines[a_row].split()[1:])
+        return lines[:a_row] + [bad] + lines[a_row + 1:], f"line {a_row + 1}"
+    if case == "missing matrix B":
+        b = lines.index("B")
+        return lines[:b] + lines[b + 1:], f"line {b + 1}"
+    if case == "not a model":
+        return ["hello"] + lines[1:], "line 1"
+    if case == "bad dims":
+        return lines[:2] + ["dims 3 x 2"] + lines[3:], "line 3"
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["empty", "header only", "cut inside A",
+                                  "wide row", "nan entry", "missing matrix B",
+                                  "not a model", "bad dims"])
+def test_load_model_malformed_names_path_and_line(tmp_path, case):
+    rng = np.random.default_rng(3)
+    good = tmp_path / "good.txt"
+    save_model(random_stable_model(rng, 3, 2, 2), good)
+    lines, where = _corrupt(good.read_text().splitlines(), case)
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(ln + "\n" for ln in lines))
+    with pytest.raises(ConfigError) as info:
+        load_model(path)
+    assert str(path) in str(info.value)
+    assert where in str(info.value)
+

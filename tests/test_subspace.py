@@ -5,11 +5,16 @@ from the record, and compare coordinate-free quantities (eigenvalues and
 impulse-response sequences), never raw matrices.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sidmpc.cli import excitation_record
+from sidmpc.config import load_experiment_config
 from sidmpc.errors import ConfigError, NumericalError
-from sidmpc.signals import Dataset, PrbsSpec, prbs_generate
+from sidmpc.runner import run_open_loop
+from sidmpc.signals import Dataset, PrbsSpec, prbs_generate, split
 from sidmpc.ssmodel import StateSpaceModel, simulate
 from sidmpc.subspace import (
     N4sidConfig,
@@ -224,18 +229,6 @@ def test_consistency_doubling_n():
     assert errs[1] <= errs[0] + 1e-9
 
 
-def test_crosscorr_diagnostic_reported():
-    # reported, not enforced: the absolute value is tiny on noise-free data,
-    # the normalized value is an angle-like quantity in [0, 1]
-    md = true_model()
-    U = prbs_inputs(600)
-    rep = estimate_n4sid(Dataset(U, simulate(md, U), 1.0),
-                         N4sidConfig(f=8, p=8, order=2))
-    assert rep.diagnostics["future_input_crosscorr"] < 1e-8
-    norm = rep.diagnostics["future_input_crosscorr_normalized"]
-    assert 0.0 <= norm <= 1.0 + 1e-9
-
-
 def test_singular_values_nonincreasing_and_order_bound():
     md = true_model()
     U = prbs_inputs(600)
@@ -277,3 +270,82 @@ def test_order_above_rank_rejected():
     Y = simulate(md, U)
     with pytest.raises(NumericalError, match="rank"):
         estimate_n4sid(Dataset(U, Y, 1.0), N4sidConfig(f=5, p=5, order=3))
+
+
+# ---------------------------------------------------------------------------
+# the LQ pipeline against the explicit wide-data computation
+
+
+def hankel_blocks(d, f, p):
+    """Z_p, U_f, Y_f as estimate_n4sid defines them."""
+    n_cols = d.N - f - p + 1
+    z = np.hstack([d.u, d.y])
+    Z_p = np.vstack([block_hankel(z, p - 1 - j, 1, n_cols) for j in range(p)])
+    return Z_p, block_hankel(d.u, p, f, n_cols), block_hankel(d.y, p, f, n_cols)
+
+
+def oracle_hfp_and_singular_values(Y_f, Z_p, U_f):
+    """H_fp by least squares on the raw stacked regressors, and the full SVD
+    of H_fp Z_p."""
+    R = np.vstack([Z_p, U_f])
+    coef, *_ = np.linalg.lstsq(R.T, Y_f.T, rcond=None)
+    H_fp = coef.T[:, : Z_p.shape[0]]
+    return H_fp, np.linalg.svd(H_fp @ Z_p, compute_uv=False)
+
+
+def test_lq_pipeline_matches_wide_oracle_on_noisy_system():
+    rng = np.random.default_rng(31)
+    A = rng.normal(size=(3, 3))
+    A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
+    md = StateSpaceModel(A, rng.normal(size=(3, 2)), rng.normal(size=(2, 3)),
+                         np.zeros((2, 2)), 0.3 * rng.normal(size=(3, 2)))
+    U = prbs_inputs(900, seed=5)
+    Y = simulate(md, U, E=0.1 * rng.normal(size=(900, 2)))
+    d = Dataset(U, Y, 1.0)
+    Z_p, U_f, Y_f = hankel_blocks(d, 6, 7)
+    H_ref, s_ref = oracle_hfp_and_singular_values(Y_f, Z_p, U_f)
+
+    H_fp = project_hfp(Y_f, Z_p, U_f)
+    assert np.max(np.abs(H_fp - H_ref)) <= 1e-10 * np.max(np.abs(H_ref))
+    rep = estimate_n4sid(d, N4sidConfig(f=6, p=7, order=3))
+    np.testing.assert_allclose(rep.singular_values, s_ref, rtol=1e-9,
+                               atol=1e-12 * s_ref[0])
+
+
+def shipped_tracking_train():
+    exp = load_experiment_config(
+        Path(__file__).resolve().parent.parent / "configs" / "fccu-tracking.ini")
+    data = run_open_loop(exp.plant, excitation_record(exp), seed=exp.run.seed)
+    train, _ = split(data.shifted(exp.plant.u_ss, exp.plant.y_ss),
+                     exp.split_fraction)
+    return exp, train
+
+
+def test_estimate_factors_hankel_data_once(monkeypatch):
+    # per estimate: one QR of the stacked n_cols x (m+p)(p+f) data, no SVD of
+    # a wide operand, and only the tall order-recovery regressions see
+    # n_cols rows
+    exp, train = shipped_tracking_train()
+    calls = []
+    for name in ("qr", "svd", "lstsq"):
+        orig = getattr(np.linalg, name)
+
+        def wrapped(*args, _name=name, _orig=orig, **kwargs):
+            calls.append((_name, [np.shape(a) for a in args[:2]]))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    for cfg in exp.id_configs.values():
+        calls.clear()
+        estimate_n4sid(train, cfg)
+        n_cols = train.N - cfg.f - cfg.p + 1
+        for name, shapes in calls:
+            if name == "svd":
+                assert max(shapes[0]) < n_cols
+            if name == "lstsq":
+                for rows, *cols in shapes:
+                    if rows >= n_cols - 1:
+                        assert (cols[0] if cols else 1) <= (
+                            cfg.n_max + train.m + train.p)
+        qr = [shapes for name, shapes in calls if name == "qr"]
+        assert qr == [[(n_cols, (train.m + train.p) * (cfg.p + cfg.f))]]
