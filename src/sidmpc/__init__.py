@@ -1,9 +1,9 @@
 """System identification and model predictive control toolkit.
 
 Pipeline: PRBS excitation -> subspace (N4SID) identification -> constrained
-MPC on velocity form with a Hildreth dual QP solver -> multi-model
-supervision over a controller bank, exercised against a configurable
-two-input/two-output surrogate plant.
+MPC on velocity form with a Goldfarb-Idnani dual active-set QP solver ->
+multi-model supervision over a controller bank, exercised against a
+configurable two-input/two-output surrogate plant.
 """
 
 from .errors import (
@@ -36,7 +36,7 @@ from .subspace import (
     project_hfp,
 )
 from .qp import QpProblem, solve_qp
-from .mpc import MpcConfig, MpcController, build_prediction, control_step
+from .mpc import MpcConfig, MpcController, build_prediction
 from .multimodel import ModelBank, mm_control_step, synchronize
 from .plant import (
     PlantConfig,
@@ -88,7 +88,6 @@ __all__ = [
     "blend_weight",
     "block_hankel",
     "build_prediction",
-    "control_step",
     "estimate_initial_state",
     "estimate_n4sid",
     "fit_percent",

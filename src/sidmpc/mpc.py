@@ -144,8 +144,7 @@ class MpcController:
                    + np.diag(self.rbar))
         # template problem; f and b are rewritten in place every instant
         self._qp = QpProblem(H, np.zeros(cfg.M * m), *self._constraint_rows())
-        self._H_reg = self._qp.H
-        self._n_out_rows = 2 * cfg.P * p
+        self._soft: Optional[QpProblem] = None
 
     @staticmethod
     def _stack_weights(w: np.ndarray, steps: int, width: int, name: str):
@@ -212,26 +211,33 @@ class MpcController:
         err = ref - (free + self.Theta @ dU)
         return float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
 
-    def _solve_soft(self, qp: QpProblem, free):
+    def _soft_problem(self) -> QpProblem:
+        """Template of the softened QP, built at the first engagement:
+        variables [DU; slack], slack on every output row, the input and
+        move rows kept hard.  Its f and b are rewritten per engagement."""
+        if self._soft is None:
+            d = self.cfg.M * self.model.m
+            ns = self.cfg.P * self.model.p
+            H = np.zeros((d + ns, d + ns))
+            H[:d, :d] = self._qp.H
+            H[d:, d:] = 2.0 * SOFT_PENALTY * np.eye(ns)
+            A_hard = self._qp.A_ineq[2 * ns:]
+            A = np.vstack([
+                np.hstack([self.Theta, -np.eye(ns)]),
+                np.hstack([-self.Theta, -np.eye(ns)]),
+                np.hstack([np.zeros((ns, d)), -np.eye(ns)]),
+                np.hstack([A_hard, np.zeros((A_hard.shape[0], ns))]),
+            ])
+            self._soft = QpProblem(H, np.zeros(d + ns), A, np.zeros(A.shape[0]))
+        return self._soft
+
+    def _solve_soft(self, qp: QpProblem):
         """Re-solve with slack on the output bounds, penalty SOFT_PENALTY."""
-        cfg = self.cfg
-        d = cfg.M * self.model.m
-        ns = cfg.P * self.model.p
-        H = np.zeros((d + ns, d + ns))
-        H[:d, :d] = self._H_reg
-        H[d:, d:] = 2.0 * SOFT_PENALTY * np.eye(ns)
-        f = np.concatenate([qp.f, np.zeros(ns)])
-        A_hard = qp.A_ineq[self._n_out_rows:]
-        b_hard = qp.b_ineq[self._n_out_rows:]
-        A = np.vstack([
-            np.hstack([self.Theta, -np.eye(ns)]),
-            np.hstack([-self.Theta, -np.eye(ns)]),
-            np.hstack([np.zeros((ns, d)), -np.eye(ns)]),
-            np.hstack([A_hard, np.zeros((A_hard.shape[0], ns))]),
-        ])
-        b = np.concatenate([qp.b_ineq[:ns], qp.b_ineq[ns:2 * ns],
-                            np.zeros(ns), b_hard])
-        soft = QpProblem(H, f, A, b)
+        soft = self._soft_problem()
+        d, ns = qp.d, self.cfg.P * self.model.p
+        soft.f[:d] = qp.f
+        soft.b_ineq[:2 * ns] = qp.b_ineq[:2 * ns]
+        soft.b_ineq[3 * ns:] = qp.b_ineq[2 * ns:]
         sol, active, _ = solve_qp(soft, tol=self.qp_tol, max_iter=self.qp_max_iter)
         return sol[:d], sol[d:], active
 
@@ -244,10 +250,11 @@ class MpcController:
         try:
             dU, active, _ = solve_qp(qp, tol=self.qp_tol, max_iter=self.qp_max_iter)
         except (InfeasibleError, ConvergenceError):
-            # a stalled dual is treated like infeasibility: soften and retry
+            # a solve that hits its change cap is treated like infeasibility:
+            # soften and retry
             diag["fallback"] = True
             try:
-                dU, slack, active = self._solve_soft(qp, self._free)
+                dU, slack, active = self._solve_soft(qp)
                 diag["slack_max"] = float(np.max(slack, initial=0.0))
             except (InfeasibleError, ConvergenceError) as exc:
                 diag["fallback_failed"] = True
@@ -272,11 +279,3 @@ class MpcController:
         u_k, diag = self._step_core(y_k, ref_trajectory)
         self.u_prev = u_k
         return u_k, diag
-
-
-def control_step(ctrl: MpcController, y_k, ref_trajectory):
-    return ctrl.control_step(y_k, ref_trajectory)
-
-
-def assemble_qp(ctrl: MpcController, xhat, ref) -> QpProblem:
-    return ctrl.assemble_qp(xhat, ref)

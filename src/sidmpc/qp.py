@@ -1,21 +1,23 @@
-"""Dense convex quadratic programming by Hildreth's dual method.
+"""Dense convex quadratic programming by the dual active-set method of
+Goldfarb and Idnani (Math. Prog. 27, 1983).
 
 Solves min_u  0.5 u' H u + f' u  subject to  A u <= b.
 
-The dual is a bound-constrained QP in the multipliers and is attacked one
-coordinate at a time, which needs no matrix factorization beyond a single
-solve against H.  The sweeps identify which constraints are active well
-before the multiplier values settle, so once the positive set stabilizes
-the solve is finished by a verified equality-KKT step on that set; badly
-scaled problems (such as the penalty-softened output constraints) would
-otherwise need millions of sweeps.  Infeasible constraint sets are
-recognized through a Farkas certificate built from the diverging
-multiplier direction.
+The iteration starts at the unconstrained optimum, which is dual feasible,
+and repeatedly adds the most violated row p to a working set W whose rows it
+keeps tight.  Raising p's multiplier moves the point along the direction that
+keeps stationarity and W tight, found from the small Schur block
+A_W H^-1 A_W'.  A step cut short by a multiplier of W reaching zero drops
+that row and continues with p.  When p depends linearly on W and no
+multiplier of W can give way, no primal or dual step exists: the constraint
+set is infeasible.  The final point is recomputed from the equality KKT
+system on W, which removes the drift of the incremental steps.
 
 A QpProblem treats H and A_ineq as immutable after construction; callers
 re-solving the same problem shape may rewrite f and b_ineq in place between
-solves (the receding-horizon loop does exactly that) and keep the cached
-dual factorization.
+solves (the receding-horizon loop does exactly that).  The inverse of H, the
+row scales of A_ineq and the rows of A_ineq H^-1 the solver has used are
+cached on the problem the first time a solve needs them.
 """
 
 from __future__ import annotations
@@ -25,10 +27,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConvergenceError, InfeasibleError, NumericalError
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10000
+# a candidate row whose curvature along the projected direction is below this
+# share of its curvature without W depends linearly on the rows of W
+DEPENDENT = 1e-10
+
+
+def _require_finite(name: str, v: np.ndarray) -> None:
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise NumericalError(
+            f"QP data {name} has a non-finite entry {float(v.flat[i])} at index {i}")
 
 
 @dataclass
@@ -44,13 +56,14 @@ class QpProblem:
             H = H.reshape(1, 1)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ValueError(f"H must be square, got shape {H.shape}")
+        _require_finite("H", H)
         d = H.shape[0]
         H = (H + H.T) / 2.0
         tr = np.trace(H)
         if not tr > 0:
             raise ValueError("H must have positive trace (nonzero PSD matrix)")
         # a zero move-weight block can leave H singular; lift the spectrum
-        # just enough to keep the dual iteration well posed
+        # just enough to keep the problem strictly convex
         eps = 1e-8 * tr / d
         w_min = np.min(np.linalg.eigvalsh(H))
         if w_min < eps:
@@ -72,6 +85,7 @@ class QpProblem:
                 A = A.reshape(1, -1)
             if A.shape[1] != d:
                 raise ValueError(f"A_ineq has {A.shape[1]} columns, H is {d}x{d}")
+            _require_finite("A_ineq", A)
             b = np.asarray(self.b_ineq, dtype=float).reshape(-1)
             if b.shape[0] != A.shape[0]:
                 raise ValueError(
@@ -79,6 +93,7 @@ class QpProblem:
                 )
             self.A_ineq = A
             self.b_ineq = b
+        self._Hinv = None
 
     @property
     def d(self) -> int:
@@ -88,241 +103,109 @@ class QpProblem:
     def r(self) -> int:
         return self.A_ineq.shape[0]
 
+    def _cached_inverse(self) -> np.ndarray:
+        """H^-1, computed at the first solve together with the row scales,
+        the zero-row mask and an empty store for rows of A_ineq H^-1."""
+        if self._Hinv is None:
+            self._Hinv = np.linalg.inv(self.H)
+            scale = np.max(np.abs(self.A_ineq), axis=1, initial=0.0)
+            self._zero_rows = scale == 0.0
+            self._row_scale = np.where(self._zero_rows, 1.0, scale)
+            self._AHinv = np.empty((self.r, self.d))   # row j: a_j H^-1
+            self._have = np.zeros(self.r, dtype=bool)
+        return self._Hinv
 
-def _polish(H, f, A, b, work, S0, feas_tol, tol, rounds=60):
-    """Finish a Hildreth run on the work-row-restricted problem.
-
-    Starting from the candidate active set S0 (the sweeps' positive
-    multipliers), iterate equality-KKT solves, dropping rows with negative
-    multipliers and admitting the worst-violated work row, for at most
-    `rounds` rounds.  Returns the minimizer of the restricted problem when a
-    verified KKT point is reached (work rows feasible, multipliers
-    nonnegative, stationarity at tol), otherwise None; a None just sends
-    the caller back to sweeping, so a wrong guess costs nothing.
-    """
-    d = H.shape[0]
-    S = list(S0)
-    for _ in range(rounds):
-        k = len(S)
-        KKT = np.block([[H, A[S].T], [A[S], np.zeros((k, k))]])
-        rhs = np.concatenate([-f, b[S]])
-        sol, *_ = np.linalg.lstsq(KKT, rhs, rcond=None)
-        # penalty-weighted problems leave the raw solve short of feas_tol;
-        # a couple of refinement steps recover the achievable accuracy
-        for _ in range(3):
-            resid = rhs - KKT @ sol
-            if np.max(np.abs(resid)) <= 1e-12 * (1.0 + np.max(np.abs(rhs))):
-                break
-            corr, *_ = np.linalg.lstsq(KKT, resid, rcond=None)
-            sol = sol + corr
-        if not np.all(np.isfinite(sol)):
-            return None
-        u = sol[:d]
-        nu = sol[d:]
-        if k:
-            worst_nu = int(np.argmin(nu))
-            if nu[worst_nu] < -tol * (1.0 + np.max(np.abs(nu))):
-                S.pop(worst_nu)
-                continue
-        viol = A[work] @ u - b[work]
-        worst = int(np.argmax(viol))
-        if viol[worst] > feas_tol:
-            row = int(work[worst])
-            if row in S:
-                return None      # numerically stuck; resume sweeping
-            S.append(row)
-            continue
-        # stationarity verified at the precision its own evaluation allows:
-        # the A'nu term can dwarf f, and cancellation error grows with it
-        terms = H @ u + f + (A[S].T @ nu if k else 0.0)
-        scale = 1.0 + np.max(np.abs(f))
-        if k:
-            scale += np.max(np.abs(A[S].T @ nu))
-        if np.max(np.abs(terms)) > tol * scale:
-            return None
-        return u
-    return None
+    def _ahinv_rows(self, rows: np.ndarray) -> np.ndarray:
+        new = rows[~self._have[rows]]
+        if new.size:
+            self._AHinv[new] = self.A_ineq[new] @ self._Hinv
+            self._have[new] = True
+        return self._AHinv[rows]
 
 
-def _farkas_certificate(A, b, lam, tol=1e-6) -> bool:
-    """True when the multiplier direction proves A u <= b has no solution.
-
-    A nonnegative direction v with A'v = 0 and b'v < 0 certifies that no u
-    satisfies A u <= b; the test verifies those inequalities directly, so
-    it cannot misfire no matter how v was obtained.
-    """
-    nrm = np.linalg.norm(lam)
-    if nrm == 0:
-        return False
-    lam_bar = lam / nrm
-    return (
-        np.max(np.abs(A.T @ lam_bar), initial=0.0) < tol
-        and float(b @ lam_bar) < -tol
-    )
+def _kkt_point(H, f, A_W, b_W):
+    """Minimizer of the objective with the rows of W held tight: one LU
+    solve of the equality KKT system plus one refinement step."""
+    k, d = A_W.shape
+    K = np.block([[H, A_W.T], [A_W, np.zeros((k, k))]])
+    rhs = np.concatenate([-f, b_W])
+    sol = np.linalg.solve(K, rhs)
+    sol += np.linalg.solve(K, rhs - K @ sol)
+    return sol[:d]
 
 
 def solve_qp(qp: QpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Returns (u_star, active_set, objective_value).
 
     active_set lists the indices of constraints tight at the solution.
-    Raises InfeasibleError for empty constraint sets and ConvergenceError
-    (carrying the best iterate) when the sweep cap is reached.
+    Raises NumericalError for non-finite f or b_ineq, InfeasibleError for
+    empty constraint sets and ConvergenceError (carrying the last iterate)
+    when more than max_iter working-set changes were needed.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    H, f = qp.H, qp.f
-    u0 = -np.linalg.solve(H, f)
-
-    def obj(u):
-        return float(f @ u + 0.5 * u @ H @ u)
-
-    if qp.r == 0:
-        return u0, [], obj(u0)
-
-    A, b = qp.A_ineq, qp.b_ineq
+    H, f, A, b = qp.H, qp.f, qp.A_ineq, qp.b_ineq
+    _require_finite("f", f)
+    _require_finite("b_ineq", b)
+    Hinv = qp._cached_inverse()
+    u = -(Hinv @ f)
+    u -= Hinv @ (H @ u + f)       # H is ill conditioned; refine once
     feas_tol = tol * (1.0 + np.max(np.abs(b), initial=0.0))
-
     # constant rows constrain nothing; they are either vacuous or infeasible
-    row_scale = np.max(np.abs(A), axis=1)
-    zero_rows = row_scale == 0.0
-    if np.any(zero_rows):
-        if np.any(b[zero_rows] < -feas_tol):
-            bad = int(np.nonzero(zero_rows & (b < -feas_tol))[0][0])
-            raise InfeasibleError(
-                f"constraint row {bad} is 0 <= {b[bad]!r}, which cannot hold"
-            )
-        keep = np.nonzero(~zero_rows)[0]
-    else:
-        keep = np.arange(qp.r)
+    bad = np.flatnonzero(qp._zero_rows & (b < -feas_tol))
+    if bad.size:
+        i = int(bad[0])
+        raise InfeasibleError(f"constraint row {i} is 0 <= {b[i]!r}, which cannot hold")
 
-    viol = A @ u0 - b
-    if np.all(viol <= feas_tol):
-        active = [int(i) for i in np.nonzero(np.abs(viol) <= feas_tol)[0]]
-        return u0, active, obj(u0)
-
-    Ak = A[keep]
-    bk = b[keep]
-    r = Ak.shape[0]
-    # H and A_ineq are immutable after construction (only f / b_ineq may be
-    # rewritten between solves), so the dual Hessian is computed once per
-    # problem object and reused by repeated solves
-    cache = getattr(qp, "_dual_cache", None)
-    if cache is None:
-        Hinv_At = np.linalg.solve(H, Ak.T)      # d x r
-        P = Ak @ Hinv_At                        # dual Hessian
-        Pd = P.diagonal().copy()
-        Pd[Pd <= 0] = np.finfo(float).tiny      # PSD guard for degenerate rows
-        qp._dual_cache = (Hinv_At, P, Pd)
-    else:
-        Hinv_At, P, Pd = cache
-    g = bk - Ak @ u0
-
-    # Multipliers of never-violated rows stay at zero, so the sweep runs on
-    # a growing working set: rows violated at the unconstrained optimum,
-    # plus any row the restricted solution turns out to violate.  The fixed
-    # point is the same as sweeping all rows; dropping satisfied rows only
-    # skips updates that would be no-ops.
-    lam = np.zeros(r)
-    work = np.nonzero(g < -feas_tol)[0]
-    sweeps_left = max_iter
-    delta_max = np.inf
+    W = np.zeros(0, dtype=int)    # working set, rows held tight
+    lam = np.zeros(0)             # their multipliers
+    changes = 0
     while True:
-        Pw = P[np.ix_(work, work)]
-        Pdw = Pd[work]
-        gw = g[work]
-        lw = lam[work]
-        nw = work.shape[0]
-        Aw = Ak[work]
-        bw = bk[work]
-
-        def infeasibility_check(increment):
-            # test both the multiplier direction and the per-sweep increment;
-            # for infeasible sets the increment reaches the recession
-            # direction much sooner than the diverging multipliers do
-            lam[work] = lw
-            if _farkas_certificate(Ak, bk, lam):
-                raise InfeasibleError(
-                    "constraint set is infeasible (Farkas certificate found)"
-                )
-            if increment is not None:
-                v = np.zeros(r)
-                v[work] = np.clip(increment, 0.0, None)
-                if _farkas_certificate(Ak, bk, v):
-                    raise InfeasibleError(
-                        "constraint set is infeasible (Farkas certificate found)"
-                    )
-
-        converged = False
-        u_work = None
-        inc = None
-        pol_prev = None
-        sweep_no = 0
-        while sweeps_left > 0:
-            sweeps_left -= 1
-            sweep_no += 1
-            lw_prev = lw.copy()
-            delta_max = 0.0
-            for i in range(nw):
-                wi = gw[i] + Pw[i] @ lw - Pdw[i] * lw[i]
-                new = -wi / Pdw[i]
-                if new < 0.0:
-                    new = 0.0
-                step = abs(new - lw[i])
-                if step > delta_max:
-                    delta_max = step
-                lw[i] = new
-            inc = lw - lw_prev
-            scale = 1.0 + np.max(lw, initial=0.0)
-            stalled = delta_max <= tol * scale
-            if stalled:
-                u_try = u0 - Hinv_At[:, work] @ lw
-                if np.max(Aw @ u_try - bw, initial=0.0) <= feas_tol:
-                    converged = True
-                    u_work = u_try
-                    break
-            if stalled or sweep_no % 25 == 0:
-                # the sweeps identify which multipliers are positive long
-                # before their values settle; once that set repeats, jump to
-                # the equality-KKT solution on it.  _polish verifies the
-                # candidate fully, so a wrong guess just means more sweeps.
-                S = work[lw > 0.0]
-                key = S.tobytes()
-                if key != pol_prev:
-                    pol_prev = key
-                    u_pol = _polish(H, f, Ak, bk, work, S, feas_tol, tol)
-                    if u_pol is not None:
-                        converged = True
-                        u_work = u_pol
-                        break
-            if sweep_no % 50 == 0 or np.max(lw) > 1e12:
-                infeasibility_check(inc)
-                if np.max(lw) > 1e14:
-                    raise ConvergenceError(
-                        "dual multipliers diverged without a feasibility "
-                        "certificate",
-                        residual=float(delta_max),
-                        iterate=u0 - Hinv_At[:, work] @ lw,
-                    )
-        lam[work] = lw
-        if not converged:
-            u_pol = _polish(H, f, Ak, bk, work, work[lw > 0.0], feas_tol, tol)
-            if u_pol is not None:
-                converged = True
-                u_work = u_pol
-        if not converged:
-            infeasibility_check(inc)
-            raise ConvergenceError(
-                f"Hildreth sweep cap {max_iter} reached "
-                f"(last multiplier change {delta_max:.3e})",
-                residual=float(delta_max),
-                iterate=u0 - Hinv_At[:, work] @ lw,
-            )
-        u_star = u_work
-        newly = np.nonzero(Ak @ u_star - bk > feas_tol)[0]
-        newly = np.setdiff1d(newly, work)
-        if newly.size == 0:
+        viol = A @ u - b
+        over = viol > feas_tol
+        if not over.any():
             break
-        work = np.union1d(work, newly)
-    resid = A @ u_star - b
-    active = [int(i) for i in np.nonzero(np.abs(resid) <= feas_tol)[0]]
-    return u_star, active, obj(u_star)
+        p = int(np.argmax(np.where(over, viol / qp._row_scale, -np.inf)))
+        lam_p = 0.0
+        while True:               # raise lam_p until row p is tight
+            changes += 1
+            if changes > max_iter:
+                resid = float(A[p] @ u - b[p])
+                raise ConvergenceError(
+                    f"active-set change cap {max_iter} reached "
+                    f"(violation {resid:.3e} on row {p})",
+                    residual=resid, iterate=u.copy())
+            G = qp._ahinv_rows(np.append(W, p))
+            a_p, y = A[p], G[-1]
+            z, r = y, np.zeros(0)
+            if W.size:
+                A_W = A[W]
+                r = np.linalg.solve(A_W @ G[:-1].T, A_W @ y)
+                z = y - r @ G[:-1]
+            curv = float(a_p @ z)
+            t_full = (float(a_p @ u) - b[p]) / curv \
+                if curv > DEPENDENT * float(a_p @ y) else np.inf
+            # largest step before a multiplier of W reaches zero; the
+            # appended inf stands for "no multiplier gives way"
+            give = r > 0
+            ratios = np.append(np.where(give, lam / np.where(give, r, 1.0), np.inf), np.inf)
+            k = int(np.argmin(ratios))
+            t_part = ratios[k]
+            if t_full == np.inf and t_part == np.inf:
+                raise InfeasibleError(
+                    f"constraint set is infeasible: row {p} cannot be met "
+                    f"together with rows {W.tolist()}")
+            t = min(t_full, t_part)
+            if t_full < np.inf:
+                u = u - t * z
+            lam = np.maximum(lam - t * r, 0.0)
+            lam_p += t
+            if t_full <= t_part:
+                W, lam = np.append(W, p), np.append(lam, lam_p)
+                break
+            W, lam = np.delete(W, k), np.delete(lam, k)
+    if W.size:
+        u = _kkt_point(H, f, A[W], b[W])
+        viol = A @ u - b
+    active = [int(i) for i in np.flatnonzero(np.abs(viol) <= feas_tol)]
+    return u, active, float(f @ u + 0.5 * u @ H @ u)

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .mpc import MpcController
 from .multimodel import ModelBank, mm_control_step
 from .plant import PlantConfig, make_state, plant_output, plant_step
@@ -191,16 +191,19 @@ def run_closed_loop(
             prev_dev = controller.entries[0][1].u_prev.copy()
             u_dev, sel, _ = mm_control_step(controller, y_dev, ref_dev)
             if sel is None:
-                diag = {"J": np.nan, "yhat": np.tile(np.nan, first.cfg.P * p),
-                        "fallback": False, "fallback_failed": True}
-                warnings_log.append(f"t={tk:.6g}: every bank controller failed; holding input")
+                diag = _held(first.cfg.P * p, "every bank controller failed")
             else:
                 pos = [mid for mid, _ in controller.entries].index(sel)
                 diag = controller.last_diagnostics[pos]
             mid = sel if sel is not None else controller.entries[0][0]
         else:
             prev_dev = controller.u_prev.copy()
-            u_dev, diag = controller.control_step(y_dev, ref_dev)
+            try:
+                u_dev, diag = controller.control_step(y_dev, ref_dev)
+            except NumericalError as exc:
+                # the estimator refused the measurement (or the step failed
+                # outright); hold the input, as the bank does
+                u_dev, diag = prev_dev, _held(first.cfg.P * p, f"controller failed: {exc}")
             mid = single_model_id
         if diag.get("fallback"):
             warnings_log.append(
@@ -208,7 +211,8 @@ def run_closed_loop(
                 f"(max slack {diag.get('slack_max', 0.0):.6g})"
             )
         if diag.get("fallback_failed"):
-            warnings_log.append(f"t={tk:.6g}: fallback failed; input held")
+            warnings_log.append(
+                f"t={tk:.6g}: {diag.get('held', 'fallback failed')}; input held")
         R[k] = r_abs
         Y[k] = y_abs
         U[k] = u_ss + u_dev
@@ -232,6 +236,12 @@ def run_closed_loop(
         disturbance_time=None if disturbances is None else disturbances.first_time,
         warnings=warnings_log,
     )
+
+
+def _held(n_pred: int, reason: str) -> dict:
+    """Diagnostics of an instant whose previous input was held."""
+    return {"J": np.nan, "yhat": np.full(n_pred, np.nan), "fallback": False,
+            "fallback_failed": True, "held": reason}
 
 
 def iae(result: RunResult, t_start: Optional[float] = None,

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, NumericalError
 from .signals import Dataset, _format
 
 
@@ -208,7 +208,8 @@ def kalman_step(ks: KalmanState, u_k, y_k):
     """One measurement update; mutates ks.xhat in place.
 
     Returns (xhat_next, innovation, yhat) where yhat is the one-step
-    prediction C xhat + D u made before seeing y_k.
+    prediction C xhat + D u made before seeing y_k.  A non-finite y_k
+    raises NumericalError and leaves ks.xhat as it was.
     """
     md = ks.model
     u_k = np.asarray(u_k, dtype=float).reshape(-1)
@@ -217,6 +218,10 @@ def kalman_step(ks: KalmanState, u_k, y_k):
         raise ValueError(f"u_k has length {u_k.shape[0]}, model expects m={md.m}")
     if y_k.shape[0] != md.p:
         raise ValueError(f"y_k has length {y_k.shape[0]}, model expects p={md.p}")
+    bad = np.flatnonzero(~np.isfinite(y_k))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericalError(f"measurement y_k[{i}] = {float(y_k[i])} is not finite")
     yhat = md.C @ ks.xhat + md.D @ u_k
     e = y_k - yhat
     ks.xhat = md.A @ ks.xhat + md.B @ u_k + md.K @ e

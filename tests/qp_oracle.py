@@ -10,6 +10,7 @@ nothing with the production solver.
 import itertools
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def enumerate_qp(H, f, A, b, feas_tol=1e-9):
@@ -63,3 +64,22 @@ def random_feasible_qp(rng, d_max=4, r_max=6):
     slack = np.abs(rng.normal(size=r)) * rng.uniform(0.1, 2.0)
     b = A @ u_feas + slack
     return H, f, A, b
+
+
+def kkt_violation(H, f, A, b, u, active):
+    """Largest relative KKT defect of a claimed optimum, 0 when exact.
+
+    Primal feasibility is measured against 1 + max|b|; stationarity uses
+    the nonnegative multipliers on the claimed active rows that NNLS finds
+    for H u + f + A_S' lam = 0, measured against the size of its terms.
+    """
+    viol = max(float(np.max(A @ u - b, initial=0.0)), 0.0)
+    grad = H @ u + f
+    pull = np.zeros_like(grad)
+    if len(active):
+        AS = A[list(active)]
+        lam, _ = nnls(AS.T, -grad, maxiter=50 * AS.shape[0] + 100)
+        pull = AS.T @ lam
+    scale = 1.0 + np.max(np.abs(f)) + np.max(np.abs(pull))
+    return max(viol / (1.0 + np.max(np.abs(b), initial=0.0)),
+               float(np.max(np.abs(grad + pull))) / scale)

@@ -7,7 +7,10 @@ move parameterization and never touches the stacked matrices.
 import numpy as np
 import pytest
 
-from sidmpc.mpc import MpcConfig, MpcController, build_prediction
+import sidmpc.mpc as mpc
+from sidmpc.errors import NumericalError
+from sidmpc.mpc import SOFT_PENALTY, MpcConfig, MpcController, build_prediction
+from sidmpc.qp import QpProblem, solve_qp
 from sidmpc.ssmodel import StateSpaceModel, simulate
 
 WIDE = dict(y_min=[-1e6], y_max=[1e6])
@@ -257,11 +260,58 @@ def test_unrecoverable_step_holds_input():
     assert u_k[0] == pytest.approx(5.0)
 
 
+def test_soft_problem_built_once_and_matches_a_fresh_one(monkeypatch):
+    with pytest.warns(RuntimeWarning, match="spectral radius"):
+        md = scalar_model(a=1.0, b=0.05, c=1.0, d=0.0, k=0.0)
+    cfg = MpcConfig(P=3, M=2, Q_weights=[1.0], R_weights=[0.0],
+                    y_min=[-0.5], y_max=[0.5], u_min=[-5.0], u_max=[5.0],
+                    du_max=[0.1])
+    ctrl = MpcController(md, cfg, x0=[50.0], u_prev=[0.0])
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return QpProblem(*args)
+
+    monkeypatch.setattr(mpc, "QpProblem", counting)
+    ns, eye = 3, np.eye(3)
+    for y in (50.0, 49.0):
+        _, diag = ctrl.control_step([y], [0.0])
+        assert diag["fallback"] and not diag["fallback_failed"]
+        # the same softened problem, built from scratch from this instant's QP
+        qp = ctrl._qp
+        H = np.zeros((5, 5))
+        H[:2, :2] = qp.H
+        H[2:, 2:] = 2.0 * SOFT_PENALTY * eye
+        A = np.vstack([np.hstack([ctrl.Theta, -eye]), np.hstack([-ctrl.Theta, -eye]),
+                       np.hstack([np.zeros((ns, 2)), -eye]),
+                       np.hstack([qp.A_ineq[2 * ns:], np.zeros((8, ns))])])
+        b = np.concatenate([qp.b_ineq[:2 * ns], np.zeros(ns), qp.b_ineq[2 * ns:]])
+        fresh, _, _ = solve_qp(QpProblem(H, np.concatenate([qp.f, np.zeros(ns)]), A, b),
+                               tol=ctrl.qp_tol)
+        dU, slack, _ = ctrl._solve_soft(qp)
+        np.testing.assert_allclose(np.concatenate([dU, slack]), fresh, rtol=1e-9, atol=1e-12)
+        assert diag["slack_max"] == pytest.approx(np.max(fresh[2:]), rel=1e-9)
+    assert len(built) == 1
+
+
+def test_non_finite_measurement_leaves_the_controller_unchanged():
+    md = scalar_model(k=0.1)
+    cfg = MpcConfig(P=4, M=2, Q_weights=[1.0], R_weights=[0.1], **WIDE)
+    ctrl = MpcController(md, cfg)
+    ctrl.control_step([0.2], [1.0])
+    x, u = ctrl.estimator.xhat.copy(), ctrl.u_prev.copy()
+    with pytest.raises(NumericalError, match="not finite"):
+        ctrl.control_step([np.nan], [1.0])
+    assert np.array_equal(ctrl.estimator.xhat, x)
+    assert np.array_equal(ctrl.u_prev, u)
+    u_k, diag = ctrl.control_step([0.3], [1.0])
+    assert np.all(np.isfinite(u_k)) and np.isfinite(diag["J"])
+
+
 def test_applied_move_keeps_the_move_limit_exactly(monkeypatch):
     # the QP solver meets rows only to within its tolerance; a solution that
     # passes du_max by 1e-9 is applied on the limit itself
-    import sidmpc.mpc as mpc
-
     def overshooting(qp, **kwargs):
         return np.array([0.1 + 1e-9, -0.1 - 1e-9]), [0], 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from qp_oracle import enumerate_qp, random_feasible_qp
 
-from sidmpc.errors import InfeasibleError
+from sidmpc.errors import ConvergenceError, InfeasibleError, NumericalError
 from sidmpc.qp import QpProblem, solve_qp
 
 
@@ -163,3 +163,44 @@ def test_active_set_indices_refer_to_original_rows():
     u, active, _ = solve_qp(qp)
     np.testing.assert_allclose(u, [1.0, 1.0], rtol=0, atol=1e-6)
     assert active == [1]
+
+
+def test_non_finite_data_is_an_error_naming_the_entry():
+    qp = QpProblem(np.eye(2), [0.0, 1.0], [[1.0, 0.0]], [1.0])
+    solve_qp(qp)
+    # f and b are rewritten in place between solves, so every solve checks
+    qp.f[:] = [np.nan, 1.0]
+    with pytest.raises(NumericalError, match=r"f has a non-finite entry nan at index 0"):
+        solve_qp(qp)
+    qp.f[:] = [0.0, 1.0]
+    qp.b_ineq[:] = [np.inf]
+    with pytest.raises(NumericalError, match=r"b_ineq has a non-finite entry inf at index 0"):
+        solve_qp(qp)
+    with pytest.raises(NumericalError, match=r"b_ineq .* index 1"):
+        solve_qp(QpProblem(np.eye(1), [0.0], [[1.0], [-1.0]], [1.0, np.nan]))
+    with pytest.raises(NumericalError, match=r"H has a non-finite entry nan at index 3"):
+        QpProblem(np.array([[1.0, 0.0], [0.0, np.nan]]), [0.0, 0.0])
+    with pytest.raises(NumericalError, match=r"A_ineq .* index 1"):
+        QpProblem(np.eye(2), [0.0, 0.0], [[0.0, -np.inf]], [1.0])
+
+
+def test_max_iter_caps_active_set_changes():
+    # three bounds active at the optimum need three working-set changes
+    qp = QpProblem(np.eye(3), [-5.0, -5.0, -5.0], np.eye(3), np.ones(3))
+    u, active, _ = solve_qp(qp, max_iter=3)
+    assert active == [0, 1, 2]
+    with pytest.raises(ConvergenceError, match="change cap 2") as err:
+        solve_qp(qp, max_iter=2)
+    assert err.value.iterate.shape == (3,)
+
+
+def test_inverse_cached_per_problem():
+    rng = np.random.default_rng(3)
+    H, f, A, b = random_feasible_qp(rng, d_max=4, r_max=6)
+    qp = QpProblem(H, f, A, b)
+    solve_qp(qp)
+    Hinv = qp._Hinv
+    solve_qp(qp)
+    assert qp._Hinv is Hinv
+    np.testing.assert_allclose(Hinv @ qp.H, np.eye(qp.d), atol=1e-10)
+

@@ -226,6 +226,37 @@ def test_closed_loop_with_duplicate_bank_matches_single():
     assert all(mid == "a" for mid in res_b.model_id)
 
 
+def test_non_finite_measurement_holds_the_input(monkeypatch):
+    import sidmpc.runner as runner
+    plant = make_default_fccu()
+    real_step = runner.plant_step
+    k_nan = 6
+
+    def step(state, u, d):
+        state, y = real_step(state, u, d)
+        if abs(state.t - k_nan * plant.ts) < 1e-9:
+            y = np.array([y[0], np.nan])
+        return state, y
+
+    monkeypatch.setattr(runner, "plant_step", step)
+    sched = Schedule([(1.0, [780.0, 970.0])])
+    single = fccu_controller(plant)
+    bank = ModelBank([("a", fccu_controller(plant)), ("b", fccu_controller(plant))])
+    for ctrl, reason in ((single, "controller failed: measurement y_k[1] = nan"),
+                         (bank, "every bank controller failed")):
+        res = run_closed_loop(plant, ctrl, duration=10.0, setpoints=sched)
+        assert np.isnan(res.y[k_nan, 1])
+        assert np.flatnonzero(res.fallback_failed).tolist() == [k_nan]
+        assert not res.fallback.any()
+        assert np.array_equal(res.u[k_nan], res.u[k_nan - 1])
+        assert res.warnings == [f"t=3: {reason}" + (" is not finite" if ctrl is single
+                                                     else "") + "; input held"]
+        # the estimators never saw the NaN: the next instant moves again
+        assert np.all(np.isfinite(res.du[k_nan + 1:])) and np.any(res.du[k_nan + 1] != 0)
+        assert np.all(np.isfinite(np.delete(res.J, k_nan)))
+        assert summarize(res)["fallback_failed_count"] == 1
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

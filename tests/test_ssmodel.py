@@ -8,7 +8,7 @@ a scalar fixed-point iteration run to 1e-12 for the Riccati equation.
 import numpy as np
 import pytest
 
-from sidmpc.errors import ConfigError, ConvergenceError
+from sidmpc.errors import ConfigError, ConvergenceError, NumericalError
 from sidmpc.signals import Dataset
 from sidmpc.ssmodel import (
     KalmanState,
@@ -182,6 +182,15 @@ def test_kalman_step_zero_innovation():
     np.testing.assert_allclose(e, 0.0, atol=1e-15)
     np.testing.assert_allclose(x_next, md.A @ [1.0, -1.0] + md.B @ [2.0])
     np.testing.assert_array_equal(yhat, y)
+
+
+def test_kalman_step_refuses_non_finite_measurement():
+    md = StateSpaceModel(np.eye(2) * 0.5, np.ones((2, 1)), np.eye(2),
+                         np.zeros((2, 1)), 0.1 * np.eye(2))
+    ks = KalmanState(md, xhat=np.array([1.0, -1.0]))
+    with pytest.raises(NumericalError, match=r"y_k\[1\] = nan is not finite"):
+        kalman_step(ks, [2.0], [0.5, np.nan])
+    np.testing.assert_array_equal(ks.xhat, [1.0, -1.0])
 
 
 def test_kalman_step_zero_gain_is_open_loop():
