@@ -97,14 +97,18 @@ def cmd_identify(config_path) -> int:
     dev = data.shifted(plant.u_ss, plant.y_ss)
     train, valid = split(dev, exp.split_fraction)
 
+    print(f"excitation: {data.N} samples at ts={data.ts} s "
+          f"({train.N} train / {valid.N} validation)")
+    # every model is estimated before any file is written, so a refused
+    # model leaves an earlier bank in the directory as it was
+    reports = {mid: estimate_n4sid(train, cfg, valid)
+               for mid, cfg in exp.id_configs.items()}
+
     ident_dir = exp.output_dir / "ident"
     ident_dir.mkdir(parents=True, exist_ok=True)
     save_csv(data, ident_dir / "dataset.csv")
-    print(f"excitation: {data.N} samples at ts={data.ts} s "
-          f"({train.N} train / {valid.N} validation)")
-
     for mid, cfg in exp.id_configs.items():
-        report = estimate_n4sid(train, cfg, valid)
+        report = reports[mid]
         save_model(report.model, ident_dir / f"model_{mid}.txt")
         _write_report(ident_dir / f"report_{mid}.txt", mid, report)
         fit_v = ", ".join(f"{v:.2f}%" for v in report.fit_valid)
@@ -201,48 +205,44 @@ def cmd_control(config_path, mode: str, identify: bool = False) -> int:
 
 
 def _write_trajectory(path: Path, result: RunResult) -> None:
-    p = result.y.shape[1]
-    m = result.u.shape[1]
-    header = (["t"]
-              + [f"r{j + 1}" for j in range(p)]
-              + [f"y{j + 1}" for j in range(p)]
-              + [f"u{j + 1}" for j in range(m)]
-              + [f"du{j + 1}" for j in range(m)]
-              + ["J", "model_id"])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(result.t.shape[0]):
-            row = [_format(result.t[k])]
-            row += [_format(v) for v in result.r[k]]
-            row += [_format(v) for v in result.y[k]]
-            row += [_format(v) for v in result.u[k]]
-            row += [_format(v) for v in result.du[k]]
-            row += [_format(result.J[k]), str(result.model_id[k])]
-            w.writerow(row)
+    _write_run_columns(path, result, ("t", "r", "y", "u", "du", "J", "model_id"))
 
 
 def _write_diagnostics(path: Path, result: RunResult) -> None:
-    p = result.y.shape[1]
-    m = result.u.shape[1]
-    header = (["t"]
-              + [f"y{j + 1}" for j in range(p)]
-              + [f"yhat{j + 1}" for j in range(p)]
-              + [f"u{j + 1}" for j in range(m)]
-              + [f"du{j + 1}" for j in range(m)]
-              + ["J", "model_id", "fallback"])
+    _write_run_columns(path, result,
+                       ("t", "y", "yhat", "u", "du", "J", "model_id", "fallback"))
+
+
+def _write_run_columns(path: Path, result: RunResult, fields) -> None:
+    """One CSV row per instant of the named RunResult fields; an N x c field
+    gives the columns name1..namec."""
+    header, columns = [], []
+    for name in fields:
+        v = getattr(result, name)
+        if v.ndim == 2:
+            header += [f"{name}{j + 1}" for j in range(v.shape[1])]
+            columns += list(v.T)
+        else:
+            header.append(name)
+            columns.append(v)
+    _write_columns(path, header, columns)
+
+
+def _write_columns(path: Path, header, columns) -> None:
+    """CSV of a header row and equal-length array columns."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for k in range(result.t.shape[0]):
-            row = [_format(result.t[k])]
-            row += [_format(v) for v in result.y[k]]
-            row += [_format(v) for v in result.yhat[k]]
-            row += [_format(v) for v in result.u[k]]
-            row += [_format(v) for v in result.du[k]]
-            row += [_format(result.J[k]), str(result.model_id[k]),
-                    "1" if result.fallback[k] else "0"]
-            w.writerow(row)
+        w.writerows(zip(*(_cells(c) for c in columns)))
+
+
+def _cells(column: np.ndarray) -> list:
+    """Floats in exact round-trip form, flags as 1/0, model ids through str."""
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in column]
+    if column.dtype.kind == "f":
+        return [_format(v) for v in column]
+    return [str(v) for v in column]
 
 
 def _read_trajectory(run_dir: Path):
@@ -294,11 +294,11 @@ def cmd_compare(dir_a, dir_b, out=None) -> int:
     m = len([h for h in hdr_a if h.startswith("u") and not h.startswith("du")])
     t = traj_a["t"]
     for j in range(1, p + 1):
-        _write_overlay(out_dir / f"overlay_y{j}.csv",
+        _write_columns(out_dir / f"overlay_y{j}.csv",
                        ["t", f"r{j}", f"y{j}_a", f"y{j}_b"],
                        [t, traj_a[f"r{j}"], traj_a[f"y{j}"], traj_b[f"y{j}"]])
     for j in range(1, m + 1):
-        _write_overlay(out_dir / f"overlay_u{j}.csv",
+        _write_columns(out_dir / f"overlay_u{j}.csv",
                        ["t", f"u{j}_a", f"u{j}_b"],
                        [t, traj_a[f"u{j}"], traj_b[f"u{j}"]])
 
@@ -371,14 +371,6 @@ def _write_comparison_text(path: Path, report: dict) -> None:
                 f"{entry['delta']:+.6g} (winner: {entry['winner']})"
             )
     path.write_text("\n".join(lines) + "\n")
-
-
-def _write_overlay(path: Path, header, columns) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for k in range(columns[0].shape[0]):
-            w.writerow([_format(c[k]) for c in columns])
 
 
 def cmd_prbs_preview(config_path, out=None) -> int:

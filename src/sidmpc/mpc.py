@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError
 from .qp import QpProblem, solve_qp
-from .ssmodel import KalmanState, StateSpaceModel, kalman_step
+from .ssmodel import KalmanState, StateSpaceModel, _observability_stack, kalman_step
 
 SOFT_PENALTY = 1e6
 
@@ -74,37 +74,25 @@ class MpcConfig:
             raise ValueError(f"ts must be positive, got {self.ts}")
 
 
-def _step_gains(model: StateSpaceModel, upto: int) -> list[np.ndarray]:
-    """G_t = C (I + A + ... + A^(t-1)) B + D for t >= 1, G_0 = D.
-
-    G_t maps a step change applied t samples ago to the current output.
-    """
-    A, B, C, D = model.A, model.B, model.C, model.D
-    gains = [D.copy()]
-    acc = np.zeros_like(A)
-    Ak = np.eye(model.n)
-    for _ in range(upto):
-        acc = acc + Ak
-        gains.append(C @ acc @ B + D)
-        Ak = Ak @ A
-    return gains
-
-
 def build_prediction(model: StateSpaceModel, cfg: MpcConfig):
-    """Stacked prediction matrices (Phi, Psi, Theta) for Yhat over horizon P."""
-    n, m, p = model.n, model.m, model.p
+    """Stacked prediction matrices (Phi, Psi, Theta) for Yhat over horizon P.
+
+    Row block i (i = 1..P) of Phi is C A^i.  The step gains
+    G_t = D + C (I + A + ... + A^(t-1)) B map a step change applied t samples
+    ago to the current output; Psi stacks G_1..G_P and Theta places G_(i-l)
+    at row block i, move l.
+    """
+    p, m = model.p, model.m
     P_, M_ = cfg.P, cfg.M
-    Phi = np.empty((P_ * p, n))
-    Ak = model.A.copy()
-    for i in range(P_):
-        Phi[i * p : (i + 1) * p] = model.C @ Ak
-        Ak = Ak @ model.A
-    gains = _step_gains(model, P_)
-    Psi = np.vstack([gains[i] for i in range(1, P_ + 1)])
+    CA = _observability_stack(model.A, model.C, P_ + 1)
+    G = model.D + np.cumsum(np.concatenate([np.zeros((1, p, m)), CA[:P_] @ model.B]),
+                            axis=0)
+    Phi = CA[1:].reshape(P_ * p, model.n)
+    Psi = G[1:].reshape(P_ * p, m)
     Theta = np.zeros((P_ * p, M_ * m))
-    for i in range(1, P_ + 1):
-        for l in range(min(i, M_ - 1) + 1):
-            Theta[(i - 1) * p : i * p, l * m : (l + 1) * m] = gains[i - l]
+    for l in range(M_):
+        i0 = max(l, 1)  # first row block that move l reaches
+        Theta[(i0 - 1) * p:, l * m:(l + 1) * m] = G[i0 - l:P_ + 1 - l].reshape(-1, m)
     return Phi, Psi, Theta
 
 

@@ -59,7 +59,6 @@ class ModelBank:
         self.entries = entries
         self.sync_mode = sync_mode
         self.switch_threshold = float(switch_threshold)
-        self.selection_log: list = []
         self.last_diagnostics: list = []
         self._incumbent: "int | None" = None
 
@@ -106,7 +105,6 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
 
     if not np.any(np.isfinite(J)):
         u_k = bank.entries[0][1].u_prev.copy()
-        bank.selection_log.append(None)
         bank.last_diagnostics = diags
         return u_k, None, J
 
@@ -123,7 +121,6 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
         ctrl.u_prev = u_k.copy()
     synchronize(bank, bank.entries[sel][0])
     bank._incumbent = sel
-    bank.selection_log.append(bank.entries[sel][0])
     bank.last_diagnostics = diags
     return u_k, bank.entries[sel][0], J
 

@@ -12,6 +12,12 @@ input gives the predictor form
 
 whose state matrix A - K C must be stable for the filter to forget its
 initial condition.
+
+Every open-loop use of a model goes through two private primitives:
+`_linear_run` runs x(k+1) = A x(k) + B w(k), y(k) = C x(k) + D w(k) over a
+record (simulate on w = [u; e], the predictor residuals on w = [u; y]), and
+`_observability_stack` stacks C A^k (the x0 regressor, the MPC prediction
+matrices).  Only `kalman_step` steps a model one measurement at a time.
 """
 
 from __future__ import annotations
@@ -118,25 +124,43 @@ def simulate(
     if U.shape[1] != model.m:
         raise ValueError(f"U has {U.shape[1]} columns, model expects m={model.m}")
     N = U.shape[0]
-    if x0 is None:
-        x = np.zeros(model.n)
-    else:
-        x = np.asarray(x0, dtype=float).reshape(-1)
-        if x.shape[0] != model.n:
-            raise ValueError(f"x0 has length {x.shape[0]}, model order is {model.n}")
-    if E is not None:
-        E = np.asarray(E, dtype=float)
-        if E.ndim == 1:
-            E = E[:, None]
-        if E.shape != (N, model.p):
-            raise ValueError(f"E must be {N}x{model.p}, got {E.shape}")
-    A, B, C, D, K = model.A, model.B, model.C, model.D, model.K
-    Y = np.empty((N, model.p))
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if x0.shape[0] != model.n:
+            raise ValueError(f"x0 has length {x0.shape[0]}, model order is {model.n}")
+    E = np.zeros((N, model.p)) if E is None else np.asarray(E, dtype=float)
+    if E.ndim == 1:
+        E = E[:, None]
+    if E.shape != (N, model.p):
+        raise ValueError(f"E must be {N}x{model.p}, got {E.shape}")
+    return _linear_run(model.A, np.hstack([model.B, model.K]), model.C,
+                       np.hstack([model.D, np.eye(model.p)]), np.hstack([U, E]), x0)
+
+
+def _linear_run(A, B, C, D, W, x0=None) -> np.ndarray:
+    """Outputs of x(k+1) = A x(k) + B w(k), y(k) = C x(k) + D w(k) over the
+    rows w(k) of W, from x0 (default zero).
+
+    The only per-sample loop carries the state alone; the input terms and
+    the outputs are whole-record products.
+    """
+    BW = W @ B.T
+    X = np.empty((W.shape[0], A.shape[0]))
+    x = np.zeros(A.shape[0]) if x0 is None else x0
+    for k in range(W.shape[0]):
+        X[k] = x
+        x = A @ x + BW[k]
+    return X @ C.T + W @ D.T
+
+
+def _observability_stack(A, C, N: int) -> np.ndarray:
+    """The N blocks C, C A, ..., C A^(N-1) as an N x p x n array."""
+    O = np.empty((N,) + C.shape)
+    CAk = C
     for k in range(N):
-        e = E[k] if E is not None else 0.0
-        Y[k] = C @ x + D @ U[k] + e
-        x = A @ x + B @ U[k] + (K @ E[k] if E is not None else 0.0)
-    return Y
+        O[k] = CAk
+        CAk = CAk @ A
+    return O
 
 
 def solve_dare(A, C, Q, R, S=None, tol: float = 1e-12, max_iter: int = 10000):
@@ -260,14 +284,9 @@ def estimate_initial_state(model: StateSpaceModel, d: Dataset, n_samples: int = 
     onto the stacked maps C A^k.  Uses at most n_samples leading samples.
     """
     N = min(n_samples, d.N)
-    forced = simulate(model, d.u[:N], np.zeros(model.n))
+    forced = simulate(model, d.u[:N])
     resid = (d.y[:N] - forced).reshape(-1)
-    blocks = np.empty((N, model.p, model.n))
-    Ak = np.eye(model.n)
-    for k in range(N):
-        blocks[k] = model.C @ Ak
-        Ak = Ak @ model.A
-    G = blocks.reshape(N * model.p, model.n)
+    G = _observability_stack(model.A, model.C, N).reshape(N * model.p, model.n)
     x0, *_ = np.linalg.lstsq(G, resid, rcond=None)
     return x0
 

@@ -35,6 +35,7 @@ from .errors import ConfigError, NumericalError
 from .signals import Dataset
 from .ssmodel import (
     StateSpaceModel,
+    _linear_run,
     estimate_initial_state,
     fit_percent,
     predictor_form,
@@ -226,15 +227,11 @@ def _recover_order(n, U_, S, P, u, y, p_past):
 
 
 def _residual_covariance(model: StateSpaceModel, d: Dataset, burn_in: int):
-    """One-step prediction residual covariance of the model over a record."""
+    """One-step prediction residual covariance of the model over a record;
+    the residuals y - C x - D u are the outputs of the predictor on [u; y]."""
     A_K, B_K = predictor_form(model)
-    x = np.zeros(model.n)
-    E = np.empty((d.N, model.p))
-    for k in range(d.N):
-        e = d.y[k] - model.C @ x - model.D @ d.u[k]
-        E[k] = e
-        x = A_K @ x + B_K @ np.concatenate([d.u[k], d.y[k]])
-    E = E[burn_in:]
+    E = _linear_run(A_K, B_K, -model.C, np.hstack([-model.D, np.eye(model.p)]),
+                    np.hstack([d.u, d.y]))[burn_in:]
     return (E.T @ E) / max(1, E.shape[0])
 
 

@@ -362,8 +362,26 @@ def test_identify_refuses_unstable_predictor(tmp_path, rooted, capsys):
     assert "numerical failure" in err and "order-3" in err and "radius 1.01" in err
     assert "Traceback" not in err
     ident = rooted / "runs/unstable/ident"
-    assert (ident / "model_default.txt").exists()
-    assert not (ident / "model_asym.txt").exists()
+    # 'default' is estimated fine, but no model of a refused bank is written
+    assert list(ident.glob("model_*.txt")) == []
+
+
+def test_refused_identify_leaves_the_earlier_bank_unchanged(tmp_path, rooted, capsys):
+    # an earlier successful run of the shipped settings, then the seed whose
+    # 'asym' model is refused, into the same output directory
+    text = (CONFIG_DIR / "fccu-tracking.ini").read_text()
+    text = text.replace("directory = out/fccu-tracking", "directory = runs/bank")
+    path = tmp_path / "bank.ini"
+    path.write_text(text)
+    assert run_cli("identify", str(path)) == 0
+    ident = rooted / "runs/bank/ident"
+    before = {f.name: f.read_bytes() for f in ident.iterdir()}
+    assert {"dataset.csv", "model_default.txt", "model_asym.txt"} <= set(before)
+    path.write_text(text.replace("seed = 0\n", "seed = 905266064\n"))
+    capsys.readouterr()
+    assert run_cli("identify", str(path)) == 2
+    assert "radius 1.01" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in ident.iterdir()} == before
 
 
 def test_prbs_preview(tmp_path, rooted, capsys):

@@ -57,18 +57,29 @@ def test_simulate_matches_convolution_oracle():
     md = random_stable_model(rng, 3, 2, 2, with_k=False)
     N = 60
     U = rng.normal(size=(N, 2))
-    # Markov parameters D, CB, CAB, CA^2 B, ...
-    H = [md.D]
+    # the same model driven also by innovations E through K, from x0
+    mk = StateSpaceModel(md.A, md.B, md.C, md.D, 0.1 * rng.normal(size=(3, 2)))
+    E = rng.normal(size=(N, 2))
+    x0 = rng.normal(size=3)
+    # Markov parameters D, CB, CAB, CA^2 B, ..., those of the innovation
+    # I, CK, CAK, ..., and the free response C A^k x0
+    H, G, Y_free = [md.D], [np.eye(2)], np.empty((N, 2))
     Ak = np.eye(3)
-    for _ in range(N - 1):
+    for k in range(N):
         H.append(md.C @ Ak @ md.B)
+        G.append(md.C @ Ak @ mk.K)
+        Y_free[k] = md.C @ Ak @ x0
         Ak = md.A @ Ak
     Y_ref = np.zeros((N, 2))
+    Y_ref_e = Y_free.copy()
     for k in range(N):
         for j in range(k + 1):
             Y_ref[k] += H[j] @ U[k - j]
+            Y_ref_e[k] += G[j] @ E[k - j]
     Y = simulate(md, U)
     np.testing.assert_allclose(Y, Y_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(simulate(mk, U, x0=x0, E=E), Y_ref + Y_ref_e,
+                               rtol=0, atol=1e-10)
 
 
 def test_simulate_dimension_errors_name_operand():

@@ -18,6 +18,7 @@ from sidmpc.signals import Dataset, PrbsSpec, prbs_generate, split
 from sidmpc.ssmodel import StateSpaceModel, simulate
 from sidmpc.subspace import (
     N4sidConfig,
+    _residual_covariance,
     aic_order_select,
     block_hankel,
     estimate_n4sid,
@@ -174,6 +175,21 @@ def test_order_range_picks_true_order_noise_free():
     rep = estimate_n4sid(Dataset(U, Y, 1.0),
                          N4sidConfig(f=8, p=8, order_range=(1, 6)))
     assert rep.chosen_order == 2
+
+
+def test_residual_covariance_recovers_generating_innovations():
+    # the predictor run on data made with known innovations E reproduces E
+    # once the initial-state error has decayed: A - K C has radius 0.4 here
+    K = np.array([[0.3, 0.0], [0.0, 0.2]])
+    D = np.array([[0.2, 0.0], [0.1, -0.1]])
+    md = StateSpaceModel(TRUE_A, TRUE_B, TRUE_C, D, K)
+    rng = np.random.default_rng(21)
+    N, b = 400, 40
+    U = rng.normal(size=(N, 2))
+    E = 0.5 * rng.normal(size=(N, 2))
+    Y = simulate(md, U, x0=np.array([3.0, -2.0]), E=E)
+    cov = _residual_covariance(md, Dataset(U, Y, 1.0), burn_in=b)
+    np.testing.assert_allclose(cov, E[b:].T @ E[b:] / (N - b), rtol=0, atol=1e-10)
 
 
 def test_aic_tie_breaks_to_smaller_order():
