@@ -253,21 +253,24 @@ def _read_trajectory(run_dir: Path):
         raise FileNotFoundError(f"{tp} not found; not a completed run directory")
     with open(tp, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    cols = {name: i for i, name in enumerate(header)}
-    data = {name: [] for name in header}
-    for row in rows:
-        for name, i in cols.items():
-            data[name].append(row[i])
-    out = {}
-    for name in header:
-        if name == "model_id":
-            out[name] = data[name]
-        else:
-            out[name] = np.array([float(v) for v in data[name]])
+        header = next(reader, [])
+        out = {name: [] for name in header}
+        for row in reader:
+            where = f"{tp} line {reader.line_num}"
+            _require(len(row) == len(header),
+                     f"{where}: {len(row)} fields, the header has {len(header)}")
+            for name, v in zip(header, row):
+                try:
+                    out[name].append(v if name == "model_id" else float(v))
+                except ValueError:
+                    raise ConfigError(f"{where}: {name} = {v!r} is not a number") from None
+    out = {name: v if name == "model_id" else np.array(v) for name, v in out.items()}
     sp = run_dir / "summary.json"
-    summary = json.loads(sp.read_text()) if sp.exists() else {}
+    try:
+        summary = json.loads(sp.read_text()) if sp.exists() else {}
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{sp} line {exc.lineno}: not valid JSON ({exc.msg})") from None
+    _require(isinstance(summary, dict), f"{sp} line 1: not a JSON object")
     return out, summary, header
 
 
@@ -278,6 +281,8 @@ def cmd_compare(dir_a, dir_b, out=None) -> int:
     if hdr_a != hdr_b:
         raise ConfigError("runs have different trajectory columns; not comparable")
     r_cols = [h for h in hdr_a if h.startswith("r")]
+    need = ["t"] + [f"y{c[1:]}" for c in r_cols]
+    _require(set(need) <= set(hdr_a), f"{dir_a / 'trajectory.csv'} line 1: lacks one of {need}")
     if traj_a["t"].shape != traj_b["t"].shape \
             or not np.array_equal(traj_a["t"], traj_b["t"]) \
             or any(not np.array_equal(traj_a[c], traj_b[c]) for c in r_cols):

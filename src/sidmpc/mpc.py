@@ -13,6 +13,15 @@ and the tracking objective  sum_i |r - yhat|^2_Q + sum_j |du_j|^2_R  becomes
 a convex QP in DU.  Output bounds are hard by default; when they make the
 QP infeasible the step is re-solved with slack variables on the output
 bounds under a large quadratic penalty, and that engagement is flagged.
+
+A controller builds everything that does not change between instants once:
+Phi, Psi, Theta, H, the constraint matrix, the gradient map
+2 Theta' diag(qbar), the tiled output windows and the move-limit rows of the
+constraint bounds.  Each instant writes in place only what depends on the
+state estimate, the last input and the reference (the linear term and the
+output and input rows of the bounds), tiles a held setpoint over the horizon
+only when it changes, and forms the predicted trajectory
+free + Theta DU once for both the reported cost and the diagnostics.
 """
 
 from __future__ import annotations
@@ -100,7 +109,9 @@ class MpcController:
     """Single-model receding-horizon controller with a built-in estimator.
 
     Mutable across instants: the Kalman state and the last applied input
-    evolve with each control_step call.
+    evolve with each control_step call.  The QP template (H, A and the move
+    rows of b) is built here; assemble_qp rewrites its f and the rest of b
+    in place every instant, so a returned QpProblem is valid until the next.
     """
 
     def __init__(self, model: StateSpaceModel, cfg: MpcConfig,
@@ -130,9 +141,16 @@ class MpcController:
 
         H = 2.0 * (self.Theta.T @ (self.qbar[:, None] * self.Theta)
                    + np.diag(self.rbar))
-        # template problem; f and b are rewritten in place every instant
+        # template problem; f and the state-dependent rows of b are rewritten
+        # in place every instant, the move rows hold du_max from here on
         self._qp = QpProblem(H, np.zeros(cfg.M * m), *self._constraint_rows())
         self._soft: Optional[QpProblem] = None
+        # f = 2 Theta' diag(qbar) (free - ref); transposed view, same BLAS path as Theta.T
+        self._grad = (2.0 * self.qbar[:, None] * self.Theta).T
+        self._ymax = np.tile(cfg.y_max, cfg.P)
+        self._ymin = np.tile(cfg.y_min, cfg.P)
+        self._held = np.full(cfg.P * p, np.nan)   # last held setpoint, tiled
+        self._free, self._err = np.empty((2, cfg.P * p))
 
     @staticmethod
     def _stack_weights(w: np.ndarray, steps: int, width: int, name: str):
@@ -146,58 +164,42 @@ class MpcController:
 
     def _constraint_rows(self):
         cfg, m = self.cfg, self.model.m
-        blocks = [self.Theta, -self.Theta]
+        blocks, b = [self.Theta, -self.Theta], [np.zeros(2 * self.Theta.shape[0])]
         if cfg.u_min is not None:
-            T = np.tril(np.ones((cfg.M, cfg.M)))
-            Tm = np.kron(T, np.eye(m))
+            Tm = np.kron(np.tril(np.ones((cfg.M, cfg.M))), np.eye(m))
             blocks += [Tm, -Tm]
+            b.append(np.zeros(2 * cfg.M * m))
         if cfg.du_max is not None:
             eye = np.eye(cfg.M * m)
             blocks += [eye, -eye]
-        A = np.vstack(blocks)
-        return A, np.zeros(A.shape[0])
-
-    def _constraint_rhs(self, free):
-        cfg, m = self.cfg, self.model.m
-        ymax = np.tile(cfg.y_max, cfg.P)
-        ymin = np.tile(cfg.y_min, cfg.P)
-        parts = [ymax - free, free - ymin]
-        if cfg.u_min is not None:
-            umax = np.tile(cfg.u_max - self.u_prev, cfg.M)
-            umin = np.tile(self.u_prev - cfg.u_min, cfg.M)
-            parts += [umax, umin]
-        if cfg.du_max is not None:
-            du = np.tile(cfg.du_max, cfg.M)
-            parts += [du, du]
-        return np.concatenate(parts)
-
-    def _expand_ref(self, ref):
-        ref = np.asarray(ref, dtype=float).reshape(-1)
-        p, P_ = self.model.p, self.cfg.P
-        if ref.shape[0] == p:
-            return np.tile(ref, P_)
-        if ref.shape[0] == P_ * p:
-            return ref
-        raise ValueError(
-            f"ref must have length {p} or {P_ * p}, got {ref.shape[0]}"
-        )
+            b.append(np.tile(cfg.du_max, 2 * cfg.M))
+        return np.vstack(blocks), np.concatenate(b)
 
     def assemble_qp(self, xhat, ref) -> QpProblem:
-        """QP over DU for the given state estimate and reference stack."""
-        ref = self._expand_ref(ref)
-        free = self.Phi @ np.asarray(xhat, dtype=float).reshape(-1) \
-            + self.Psi @ self.u_prev
-        f = 2.0 * (self.Theta.T @ (self.qbar * (free - ref)))
-        self._qp.f[:] = f
-        self._qp.b_ineq[:] = self._constraint_rhs(free)
-        self._free = free
+        """QP over DU for the given state estimate and reference stack (of
+        length p, held over the horizon, or P p).  Writes f and the output
+        and input rows of b in place; the move rows were set at build."""
+        ref = np.asarray(ref, dtype=float).reshape(-1)
+        p, P_, M_ = self.model.p, self.cfg.P, self.cfg.M
+        if ref.shape[0] == p:
+            if not (ref == self._held[:p]).all():
+                self._held = np.tile(ref, P_)
+            ref = self._held
+        elif ref.shape[0] != P_ * p:
+            raise ValueError(f"ref must have length {p} or {P_ * p}, got {ref.shape[0]}")
+        free, qp, ny = self._free, self._qp, P_ * p
+        np.matmul(self.Phi, np.asarray(xhat, dtype=float).reshape(-1), out=free)
+        free += self.Psi @ self.u_prev
+        np.matmul(self._grad, np.subtract(free, ref, out=self._err), out=qp.f)
+        b = qp.b_ineq
+        np.subtract(self._ymax, free, out=b[:ny])
+        np.subtract(free, self._ymin, out=b[ny:2 * ny])
+        if self.cfg.u_min is not None:
+            u_rows = b[2 * ny:2 * ny + 2 * M_ * self.model.m].reshape(2, M_, -1)
+            np.subtract(self.cfg.u_max, self.u_prev, out=u_rows[0])
+            np.subtract(self.u_prev, self.cfg.u_min, out=u_rows[1])
         self._ref = ref
-        return self._qp
-
-    def tracking_cost(self, free, ref, dU) -> float:
-        """Horizon cost: weighted tracking error plus weighted moves."""
-        err = ref - (free + self.Theta @ dU)
-        return float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
+        return qp
 
     def _soft_problem(self) -> QpProblem:
         """Template of the softened QP, built at the first engagement:
@@ -255,9 +257,11 @@ class MpcController:
             # on the move limit can pass it by about 1e-9; apply the limit
             dU[:m] = np.clip(dU[:m], -self.cfg.du_max, self.cfg.du_max)
         u_k = self.u_prev + dU[:m]
-        diag["J"] = self.tracking_cost(self._free, self._ref, dU)
+        yhat = self._free + self.Theta @ dU
+        err = self._ref - yhat
+        diag["J"] = float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
         diag["active"] = active
-        diag["yhat"] = self._free + self.Theta @ dU
+        diag["yhat"] = yhat
         diag["xhat"] = xhat.copy()
         diag["du"] = dU[: self.model.m].copy()
         return u_k, diag

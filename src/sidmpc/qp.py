@@ -105,12 +105,12 @@ class QpProblem:
 
     def _cached_inverse(self) -> np.ndarray:
         """H^-1, computed at the first solve together with the row scales,
-        the zero-row mask and an empty store for rows of A_ineq H^-1."""
+        the zero rows' indices and an empty store for rows of A_ineq H^-1."""
         if self._Hinv is None:
             self._Hinv = np.linalg.inv(self.H)
             scale = np.max(np.abs(self.A_ineq), axis=1, initial=0.0)
-            self._zero_rows = scale == 0.0
-            self._row_scale = np.where(self._zero_rows, 1.0, scale)
+            self._zero_rows = np.flatnonzero(scale == 0.0)   # usually none
+            self._row_scale = np.where(scale == 0.0, 1.0, scale)
             self._AHinv = np.empty((self.r, self.d))   # row j: a_j H^-1
             self._have = np.zeros(self.r, dtype=bool)
         return self._Hinv
@@ -152,10 +152,11 @@ def solve_qp(qp: QpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MA
     u -= Hinv @ (H @ u + f)       # H is ill conditioned; refine once
     feas_tol = tol * (1.0 + np.max(np.abs(b), initial=0.0))
     # constant rows constrain nothing; they are either vacuous or infeasible
-    bad = np.flatnonzero(qp._zero_rows & (b < -feas_tol))
-    if bad.size:
-        i = int(bad[0])
-        raise InfeasibleError(f"constraint row {i} is 0 <= {b[i]!r}, which cannot hold")
+    if qp._zero_rows.size:
+        bad = qp._zero_rows[b[qp._zero_rows] < -feas_tol]
+        if bad.size:
+            i = int(bad[0])
+            raise InfeasibleError(f"constraint row {i} is 0 <= {b[i]!r}, which cannot hold")
 
     W = np.zeros(0, dtype=int)    # working set, rows held tight
     lam = np.zeros(0)             # their multipliers

@@ -312,6 +312,41 @@ def test_compare_runs_and_self_compare(tmp_path, rooted, capsys):
         assert ch["iae"]["winner"] == "tie"
 
 
+def _short_row(text):
+    lines = text.splitlines(keepends=True)
+    lines[3] = ",".join(lines[3].split(",")[:-2]) + "\n"
+    return "".join(lines), "line 4: 9 fields, the header has 11"
+
+
+def _non_numeric(text):
+    lines = text.splitlines(keepends=True)
+    lines[5] = lines[5].replace(",", ",x", 1)
+    return "".join(lines), "line 6: r1 = 'x"
+
+
+@pytest.mark.parametrize("fname, corrupt", [
+    ("trajectory.csv", _short_row),
+    ("trajectory.csv", _non_numeric),
+    ("trajectory.csv", lambda text: (text.replace("y1", "z1", 1), "line 1: lacks one of")),
+    ("summary.json", lambda text: (text[:-20], "summary.json line")),
+])
+def test_compare_malformed_run_exits_1(tmp_path, rooted, capsys, fname, corrupt):
+    path = write_ini(tmp_path)
+    run_cli("control", str(path), "--identify", "--mode", "single")
+    good = rooted / "runs/exp/control-single"
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for f in ("trajectory.csv", "summary.json"):
+        (bad / f).write_bytes((good / f).read_bytes())
+    text, message = corrupt((bad / fname).read_text())
+    (bad / fname).write_text(text)
+    capsys.readouterr()
+    assert run_cli("compare", str(bad), str(bad), "--out", str(tmp_path / "cmp")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad / fname) in err
+    assert message in err
+
+
 def test_compare_missing_dir_exits_3(tmp_path, rooted, capsys):
     assert run_cli("compare", str(tmp_path / "nope-a"), str(tmp_path / "nope-b")) == 3
     assert "not found" in capsys.readouterr().err

@@ -132,6 +132,50 @@ def test_assemble_qp_matches_hand_expansion():
     assert qp.f[0] == pytest.approx(2.0 * g1 * q * (free - ref[0]), abs=1e-9)
 
 
+def test_assemble_qp_rows_track_state_input_and_reference(monkeypatch):
+    # b_ineq and f are rewritten in place each instant over constants built
+    # once; check every row against a hand expansion on successive instants
+    # whose u_prev, xhat and reference all change, the reference given as a
+    # held p-vector (twice, then a new one) and as a full P p stack
+    rng = np.random.default_rng(17)
+    md = StateSpaceModel([[0.6, 0.2], [-0.1, 0.7]], rng.normal(size=(2, 2)),
+                         rng.normal(size=(2, 2)), 0.1 * rng.normal(size=(2, 2)),
+                         np.zeros((2, 2)))
+    P, M = 4, 2
+    y_min, y_max = np.array([-3.0, -4.0]), np.array([5.0, 2.5])
+    u_min, u_max, du_max = np.array([-1.0, -2.0]), np.array([1.5, 0.5]), np.array([0.3, 0.2])
+    cfg = MpcConfig(P=P, M=M, Q_weights=[1.5, 0.7], R_weights=[0.2, 0.1],
+                    y_min=y_min, y_max=y_max, u_min=u_min, u_max=u_max, du_max=du_max)
+    ctrl = MpcController(md, cfg, u_prev=[0.2, -0.1])
+    seen = []
+    real = mpc.solve_qp
+
+    def recorded(qp, **kwargs):
+        seen.append((ctrl.estimator.xhat.copy(), ctrl.u_prev.copy(),
+                     qp.f.copy(), qp.b_ineq.copy()))
+        return real(qp, **kwargs)
+
+    monkeypatch.setattr(mpc, "solve_qp", recorded)
+    r_a, r_b = np.array([1.0, -0.5]), np.array([-0.4, 0.8])
+    stack = rng.normal(size=P * 2)
+    refs = [r_a, r_a, stack, r_b]
+    for ref in refs:
+        ctrl.control_step(rng.normal(size=2), ref)
+    qbar = np.tile([1.5, 0.7], P)
+    for (xhat, u_prev, f, b), ref in zip(seen, refs):
+        free = simulate_prediction(md, P, M, xhat, u_prev, np.zeros(M * 2))
+        r = np.tile(ref, P) if ref.shape[0] == 2 else ref
+        want = np.concatenate([np.tile(y_max, P) - free, free - np.tile(y_min, P),
+                               np.tile(u_max - u_prev, M), np.tile(u_prev - u_min, M),
+                               np.tile(du_max, 2 * M)])
+        np.testing.assert_allclose(b, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(f, 2.0 * ctrl.Theta.T @ (qbar * (free - r)),
+                                   rtol=0, atol=1e-12)
+    # the instants differ in what the rows depend on
+    assert len({s[1].tobytes() for s in seen}) == 4
+    assert len({s[0].tobytes() for s in seen}) == 4
+
+
 def test_assemble_qp_reference_equal_free_response():
     rng = np.random.default_rng(5)
     md = scalar_model()
