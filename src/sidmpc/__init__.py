@@ -57,7 +57,7 @@ from .runner import (
     step_metrics,
     summarize,
 )
-from .config import ExperimentConfig, load_experiment_config, make_mpc_config
+from .config import ExperimentConfig, load_experiment_config
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "load_experiment_config",
     "load_model",
     "make_default_fccu",
-    "make_mpc_config",
     "make_state",
     "mm_control_step",
     "parse_schedule",

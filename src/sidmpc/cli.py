@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -23,17 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    load_experiment_config,
-    make_mpc_config,
-)
+from .config import ExperimentConfig, load_experiment_config
 from .errors import ConfigError, NumericalError, SidmpcError
 from .mpc import MpcController
 from .multimodel import ModelBank
-from .plant import PlantConfig
 from .runner import RunResult, run_closed_loop, run_open_loop, summarize
-from .signals import Dataset, PrbsSpec, _format, prbs_generate, save_csv, split
+from .signals import (Dataset, _format, _read_text, _write_columns, prbs_generate,
+                      save_csv, split)
 from .ssmodel import load_model, save_model
 from .subspace import estimate_n4sid
 
@@ -52,31 +49,8 @@ def _write_config_copy(run_dir: Path, exp: ExperimentConfig) -> None:
 
 
 def excitation_record(exp: ExperimentConfig) -> np.ndarray:
-    """Absolute-units PRBS input record, one phase-shifted channel per input.
-
-    All channels share one maximal-length register; channel j discards
-    j * (period // m) leading bits so the channels are decorrelated over
-    the record instead of being near copies of each other.
-    """
-    exc = exp.excitation
-    plant = exp.plant
-    period = (1 << exc.register_length) - 1
-    offset = period // max(plant.m, 1)
-    cols = []
-    for j in range(plant.m):
-        a = float(exc.amplitude[j])
-        spec = PrbsSpec(
-            register_length=exc.register_length,
-            taps=exc.taps,
-            levels=(-a, a),
-            clock_period=exc.clock_period,
-            total_length=exc.total_length,
-            seed=exc.seed,
-            phase=j * offset,
-        )
-        cols.append(prbs_generate(spec))
-    dev = np.column_stack(cols)
-    return plant.u_ss + dev
+    """Absolute-units PRBS input record, one column per excitation channel."""
+    return exp.plant.u_ss + np.column_stack([prbs_generate(s) for s in exp.excitation])
 
 
 def _require(condition: bool, message: str) -> None:
@@ -158,25 +132,20 @@ def cmd_control(config_path, mode: str, identify: bool = False) -> int:
     _require(exp.run is not None, "missing required section [run]")
     _require(bool(exp.bank_ids), "no bank models configured "
              "([multimodel] bank or [identification] models)")
-    plant = exp.plant
-    mpccfg = make_mpc_config(exp.controller, plant)
 
     if mode == "single":
-        sid = exp.controller.single_model or exp.bank_ids[0]
-        models = _load_bank(exp, [sid])
-        controller = MpcController(models[sid], mpccfg)
-        run_controller = controller
-        single_id = sid
+        single_id = exp.single_model or exp.bank_ids[0]
+        models = _load_bank(exp, [single_id])
+        run_controller = MpcController(models[single_id], exp.controller)
     else:
         models = _load_bank(exp, exp.bank_ids)
-        entries = [(mid, MpcController(models[mid], mpccfg))
-                   for mid in exp.bank_ids]
-        run_controller = ModelBank(entries, sync_mode=exp.sync_mode,
-                                   switch_threshold=exp.switch_threshold)
+        run_controller = ModelBank(
+            [(mid, MpcController(models[mid], exp.controller)) for mid in exp.bank_ids],
+            sync_mode=exp.sync_mode, switch_threshold=exp.switch_threshold)
         single_id = exp.bank_ids[0]
 
     result = run_closed_loop(
-        plant, run_controller,
+        exp.plant, run_controller,
         duration=exp.run.duration,
         setpoints=exp.run.setpoints,
         disturbances=exp.run.disturbances,
@@ -228,46 +197,28 @@ def _write_run_columns(path: Path, result: RunResult, fields) -> None:
     _write_columns(path, header, columns)
 
 
-def _write_columns(path: Path, header, columns) -> None:
-    """CSV of a header row and equal-length array columns."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(zip(*(_cells(c) for c in columns)))
-
-
-def _cells(column: np.ndarray) -> list:
-    """Floats in exact round-trip form, flags as 1/0, model ids through str."""
-    if column.dtype == bool:
-        return ["1" if v else "0" for v in column]
-    if column.dtype.kind == "f":
-        return [_format(v) for v in column]
-    return [str(v) for v in column]
-
-
 def _read_trajectory(run_dir: Path):
     tp = run_dir / "trajectory.csv"
     if not run_dir.is_dir():
         raise FileNotFoundError(f"run directory not found: {run_dir}")
     if not tp.exists():
         raise FileNotFoundError(f"{tp} not found; not a completed run directory")
-    with open(tp, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        out = {name: [] for name in header}
-        for row in reader:
-            where = f"{tp} line {reader.line_num}"
-            _require(len(row) == len(header),
-                     f"{where}: {len(row)} fields, the header has {len(header)}")
-            for name, v in zip(header, row):
-                try:
-                    out[name].append(v if name == "model_id" else float(v))
-                except ValueError:
-                    raise ConfigError(f"{where}: {name} = {v!r} is not a number") from None
+    reader = csv.reader(io.StringIO(_read_text(tp)))
+    header = next(reader, [])
+    out = {name: [] for name in header}
+    for row in reader:
+        where = f"{tp} line {reader.line_num}"
+        _require(len(row) == len(header),
+                 f"{where}: {len(row)} fields, the header has {len(header)}")
+        for name, v in zip(header, row):
+            try:
+                out[name].append(v if name == "model_id" else float(v))
+            except ValueError:
+                raise ConfigError(f"{where}: {name} = {v!r} is not a number") from None
     out = {name: v if name == "model_id" else np.array(v) for name, v in out.items()}
     sp = run_dir / "summary.json"
     try:
-        summary = json.loads(sp.read_text()) if sp.exists() else {}
+        summary = json.loads(_read_text(sp)) if sp.exists() else {}
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{sp} line {exc.lineno}: not valid JSON ({exc.msg})") from None
     _require(isinstance(summary, dict), f"{sp} line 1: not a JSON object")
@@ -381,7 +332,7 @@ def _write_comparison_text(path: Path, report: dict) -> None:
 def cmd_prbs_preview(config_path, out=None) -> int:
     exp = load_experiment_config(config_path)
     _require(exp.excitation is not None, "missing required section [excitation]")
-    exc = exp.excitation
+    exc = exp.excitation[0]
     period = (1 << exc.register_length) - 1
     U = excitation_record(exp)
     dev = U - exp.plant.u_ss

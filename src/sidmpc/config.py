@@ -5,7 +5,9 @@ Sections:
   [excitation]      PRBS register, clock, length, per-channel amplitudes
   [identification]  split fraction and the list of bank model ids
   [identification.<id>]  horizons and order policy per bank model
-  [controller]      horizons, weights, constraint windows (absolute units)
+  [controller]      horizons, weights, constraint windows (absolute units,
+                    loaded as an MpcConfig in deviations from the plant's
+                    operating point)
   [multimodel]      sync mode and bank composition
   [run]             duration, seed, setpoint and disturbance schedules
   [output]          run directory (re-rooted by SIDMPC_OUTPUT_ROOT if set)
@@ -17,6 +19,8 @@ followed by one value per channel.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,35 +32,10 @@ from .errors import ConfigError
 from .mpc import MpcConfig
 from .plant import PlantConfig, make_default_fccu
 from .runner import Schedule, parse_schedule
+from .signals import PrbsSpec, _read_text
 from .subspace import N4sidConfig
 
 OUTPUT_ROOT_ENV = "SIDMPC_OUTPUT_ROOT"
-
-
-@dataclass
-class ExcitationConfig:
-    register_length: int
-    total_length: int
-    amplitude: np.ndarray          # deviation half-range per input channel
-    clock_period: int = 1
-    seed: int = 1
-    taps: Optional[tuple] = None
-
-
-@dataclass
-class ControllerSettings:
-    """Controller section in absolute engineering units."""
-
-    P: int
-    M: int
-    q_weights: np.ndarray
-    r_weights: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-    u_min: Optional[np.ndarray] = None
-    u_max: Optional[np.ndarray] = None
-    du_max: Optional[np.ndarray] = None
-    single_model: Optional[str] = None
 
 
 @dataclass
@@ -70,15 +49,16 @@ class RunSettings:
 @dataclass
 class ExperimentConfig:
     plant: PlantConfig
-    excitation: Optional[ExcitationConfig]
+    excitation: Optional[list]        # one PrbsSpec per input channel
     split_fraction: float
     id_configs: dict                  # model id -> N4sidConfig, insertion order
-    controller: Optional[ControllerSettings]
+    controller: Optional[MpcConfig]
     sync_mode: str
     switch_threshold: float
     bank_ids: list
     run: Optional[RunSettings]
     output_dir: Path
+    single_model: Optional[str] = None
     source_text: str = field(default="", repr=False)
 
 
@@ -100,8 +80,18 @@ def _get(sec, key: str, cast, required: bool = True, default=None):
         raise ConfigError(f"[{sec.name}] {key} = {raw!r}: {exc}") from None
 
 
-def _floats(raw: str) -> np.ndarray:
-    return np.array([float(v) for v in raw.split()])
+def _float(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("must be finite")
+    return v
+
+
+def _floats(raw: str, count: Optional[int] = None) -> np.ndarray:
+    v = np.array([_float(t) for t in raw.split()])
+    if count is not None and v.shape[0] != count:
+        raise ValueError(f"needs {count} values")
+    return v
 
 
 def _ints(raw: str) -> tuple:
@@ -113,8 +103,8 @@ def load_experiment_config(path) -> ExperimentConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    text = _read_text(path)
     try:
-        text = path.read_text()
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -126,7 +116,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     id_configs: dict = {}
     if cp.has_section("identification"):
         ident = cp["identification"]
-        split_fraction = _get(ident, "split_fraction", float,
+        split_fraction = _get(ident, "split_fraction", _float,
                               required=False, default=0.5)
         model_ids = _get(ident, "models", lambda r: r.split(),
                          required=False, default=[])
@@ -134,6 +124,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             id_configs[mid] = _build_n4sid(cp, mid)
 
     controller = _build_controller(cp, plant) if cp.has_section("controller") else None
+    single_model = cp.get("controller", "single_model", fallback=None)
 
     sync_mode = "kalman-only"
     switch_threshold = 0.0
@@ -142,7 +133,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         mm = cp["multimodel"]
         sync_mode = _get(mm, "sync_mode", str, required=False,
                          default="kalman-only")
-        switch_threshold = _get(mm, "switch_threshold", float,
+        switch_threshold = _get(mm, "switch_threshold", _float,
                                 required=False, default=0.0)
         bank_ids = _get(mm, "bank", lambda r: r.split(), required=False,
                         default=bank_ids)
@@ -164,6 +155,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         bank_ids=bank_ids,
         run=run,
         output_dir=output_dir,
+        single_model=single_model,
         source_text=text,
     )
 
@@ -182,43 +174,40 @@ def _build_plant(cp) -> PlantConfig:
     if preset != "default-fccu":
         raise ConfigError(f"[plant] unknown preset {preset!r}; "
                           "only 'default-fccu' is available")
-    kwargs = {}
-    if "blend_sharpness" in sec:
-        kwargs["blend_sharpness"] = _get(sec, "blend_sharpness", float)
-    if "disturbance_entry" in sec:
-        kwargs["disturbance_entry"] = _get(sec, "disturbance_entry", str)
-    cfg = make_default_fccu(**kwargs)
-    if "noise_std" in sec:
-        std = _get(sec, "noise_std", _floats)
-        if std.shape[0] != cfg.p:
-            raise ConfigError(f"[plant] noise_std needs {cfg.p} values")
-        cfg.noise_std = std
-    if "disturbance_gain" in sec:
-        g = _get(sec, "disturbance_gain", _floats)
-        rows = cfg.p if cfg.disturbance_entry == "output" else cfg.m
-        if g.shape[0] != rows:
-            raise ConfigError(f"[plant] disturbance_gain needs {rows} values")
-        cfg.disturbance_gain = g[:, None]
-    return cfg
+    casts = {"noise_std": _floats, "blend_sharpness": _float,
+             "disturbance_entry": str, "disturbance_gain": _floats}
+    overrides = {key: _get(sec, key, cast) for key, cast in casts.items() if key in sec}
+    try:
+        return dataclasses.replace(make_default_fccu(), **overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"[plant] {exc}") from None
 
 
-def _build_excitation(cp, plant: PlantConfig) -> ExcitationConfig:
+def _build_excitation(cp, plant: PlantConfig) -> list:
+    """One PrbsSpec per input channel.
+
+    All channels share one maximal-length register; channel j discards
+    j * (period // m) leading bits so the channels are decorrelated over
+    the record instead of being near copies of each other.
+    """
     sec = _section(cp, "excitation")
-    amplitude = _get(sec, "amplitude", _floats)
-    if amplitude.shape[0] != plant.m:
-        raise ConfigError(
-            f"[excitation] amplitude needs {plant.m} values (one per input)"
-        )
-    if np.any(amplitude <= 0):
-        raise ConfigError("[excitation] amplitudes must be positive")
-    return ExcitationConfig(
-        register_length=_get(sec, "register_length", int),
+    n = _get(sec, "register_length", int)
+    amplitude = _get(sec, "amplitude", lambda r: _floats(r, plant.m))
+    common = dict(
+        register_length=n,
         total_length=_get(sec, "total_length", int),
-        amplitude=amplitude,
         clock_period=_get(sec, "clock_period", int, required=False, default=1),
         seed=_get(sec, "seed", int, required=False, default=1),
         taps=_get(sec, "taps", _ints, required=False, default=None),
     )
+    try:
+        specs = [PrbsSpec(levels=(-a, a), **common) for a in amplitude.tolist()]
+    except ConfigError as exc:
+        raise ConfigError(f"[excitation] {exc}") from None
+    # the period is taken only once PrbsSpec has checked register_length
+    for j, spec in enumerate(specs):
+        spec.phase = j * (((1 << n) - 1) // plant.m)
+    return specs
 
 
 def _build_n4sid(cp, mid: str) -> N4sidConfig:
@@ -238,35 +227,35 @@ def _build_n4sid(cp, mid: str) -> N4sidConfig:
     return N4sidConfig(f=f, p=p, order_range=(omin, omax))
 
 
-def _build_controller(cp, plant: PlantConfig) -> ControllerSettings:
+def _build_controller(cp, plant: PlantConfig) -> MpcConfig:
+    """The controller section, shifted from absolute to deviation units."""
     sec = _section(cp, "controller")
     p, m = plant.p, plant.m
 
-    def vec(key, count, required=True):
-        v = _get(sec, key, _floats, required=required, default=None)
-        if v is None:
-            return None
-        if v.shape[0] != count:
-            raise ConfigError(f"[controller] {key} needs {count} values")
-        return v
+    def vec(key, count, offset=0.0, required=True):
+        v = _get(sec, key, lambda r: _floats(r, count), required=required)
+        return None if v is None else v - offset
 
-    return ControllerSettings(
-        P=_get(sec, "prediction_horizon", int),
-        M=_get(sec, "control_horizon", int),
-        q_weights=vec("q_weights", p),
-        r_weights=vec("r_weights", m),
-        y_min=vec("y_min", p),
-        y_max=vec("y_max", p),
-        u_min=vec("u_min", m, required=False),
-        u_max=vec("u_max", m, required=False),
-        du_max=vec("du_max", m, required=False),
-        single_model=_get(sec, "single_model", str, required=False, default=None),
-    )
+    try:
+        return MpcConfig(
+            P=_get(sec, "prediction_horizon", int),
+            M=_get(sec, "control_horizon", int),
+            Q_weights=vec("q_weights", p),
+            R_weights=vec("r_weights", m),
+            y_min=vec("y_min", p, plant.y_ss),
+            y_max=vec("y_max", p, plant.y_ss),
+            u_min=vec("u_min", m, plant.u_ss, required=False),
+            u_max=vec("u_max", m, plant.u_ss, required=False),
+            du_max=vec("du_max", m, required=False),
+            ts=plant.ts,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"[controller] {exc}") from None
 
 
 def _build_run(cp, plant: PlantConfig) -> RunSettings:
     sec = _section(cp, "run")
-    duration = _get(sec, "duration", float)
+    duration = _get(sec, "duration", _float)
     seed = _get(sec, "seed", int, required=False, default=0)
     sp_text = sec.get("setpoints", "")
     setpoints = parse_schedule(sp_text, plant.p, "[run] setpoints") if sp_text.strip() else None
@@ -276,21 +265,3 @@ def _build_run(cp, plant: PlantConfig) -> RunSettings:
     return RunSettings(duration=duration, seed=seed,
                        setpoints=setpoints, disturbances=disturbances)
 
-
-def make_mpc_config(settings: ControllerSettings, plant: PlantConfig) -> MpcConfig:
-    """Translate absolute controller settings into deviation units."""
-    try:
-        return MpcConfig(
-            P=settings.P,
-            M=settings.M,
-            Q_weights=settings.q_weights,
-            R_weights=settings.r_weights,
-            y_min=settings.y_min - plant.y_ss,
-            y_max=settings.y_max - plant.y_ss,
-            u_min=None if settings.u_min is None else settings.u_min - plant.u_ss,
-            u_max=None if settings.u_max is None else settings.u_max - plant.u_ss,
-            du_max=settings.du_max,
-            ts=plant.ts,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[controller] {exc}") from None

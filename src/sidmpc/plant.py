@@ -80,7 +80,7 @@ class PlantConfig:
             self.noise_std = np.zeros(p)
         self.noise_std = np.asarray(self.noise_std, dtype=float).reshape(-1)
         if self.noise_std.shape[0] != p or np.any(self.noise_std < 0):
-            raise ConfigError("noise_std must be nonnegative per output")
+            raise ConfigError(f"noise_std needs {p} nonnegative values, one per output")
         if self.disturbance_gain is not None:
             self.disturbance_gain = np.asarray(self.disturbance_gain, dtype=float)
             if self.disturbance_gain.ndim == 1:

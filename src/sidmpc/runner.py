@@ -76,6 +76,8 @@ def parse_schedule(text: str, width: int, name: str) -> Optional[Schedule]:
             vals = [float(v) for v in parts]
         except ValueError as exc:
             raise ConfigError(f"{name} row {lineno}: {exc}") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{name} row {lineno}: values must be finite")
         rows.append((vals[0], np.array(vals[1:])))
     return Schedule(rows) if rows else None
 

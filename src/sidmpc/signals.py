@@ -11,6 +11,7 @@ length: it repeats with period 2^n - 1 and contains 2^(n-1) ones and
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -211,20 +212,39 @@ def _format(v: float) -> str:
     return repr(float(v))
 
 
+def _read_text(path) -> str:
+    """The file's text; bytes that do not decode raise ConfigError naming the path."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not {exc.encoding} text") from None
+
+
+def _write_columns(path, header, columns) -> None:
+    """CSV of a header row and equal-length array columns."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*(_cells(c) for c in columns)))
+
+
+def _cells(column: np.ndarray) -> list:
+    """Floats in exact round-trip form, flags as 1/0, model ids through str."""
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in column]
+    if column.dtype.kind == "f":
+        return [_format(v) for v in column]
+    return [str(v) for v in column]
+
+
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset as t, u..., y... columns in full double precision."""
     if d.channel_names is not None and len(d.channel_names) == d.m + d.p:
         names = list(d.channel_names)
     else:
         names = [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t"] + names)
-        for k in range(d.N):
-            row = [_format(k * d.ts)]
-            row += [_format(v) for v in d.u[k]]
-            row += [_format(v) for v in d.y[k]]
-            w.writerow(row)
+    _write_columns(path, ["t"] + names, [np.arange(d.N) * d.ts, *d.u.T, *d.y.T])
 
 
 def load_csv(path) -> Dataset:
@@ -234,38 +254,37 @@ def load_csv(path) -> Dataset:
     Row numbers in error messages count data rows from 1, so row k is line
     k + 1 of the file.  Every value must be finite.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty file, missing header") from None
-        header = [h.strip() for h in header]
-        if "t" not in header:
-            raise ConfigError(f"{path}: header lacks a 't' column: {header}")
-        t_idx = header.index("t")
-        u_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("u")]
-        y_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("y")]
-        if not u_idx or not y_idx:
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty file, missing header") from None
+    header = [h.strip() for h in header]
+    if "t" not in header:
+        raise ConfigError(f"{path}: header lacks a 't' column: {header}")
+    t_idx = header.index("t")
+    u_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("u")]
+    y_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("y")]
+    if not u_idx or not y_idx:
+        raise ConfigError(
+            f"{path}: header must name u-prefixed and y-prefixed columns, got {header}"
+        )
+    ncol = len(header)
+    t_vals, u_rows, y_rows = [], [], []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != ncol:
             raise ConfigError(
-                f"{path}: header must name u-prefixed and y-prefixed columns, got {header}"
+                f"{path}: row {rownum} has {len(row)} fields, expected {ncol}"
             )
-        ncol = len(header)
-        t_vals, u_rows, y_rows = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != ncol:
-                raise ConfigError(
-                    f"{path}: row {rownum} has {len(row)} fields, expected {ncol}"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {rownum}: {exc}") from None
-            if not all(np.isfinite(vals)):
-                raise ConfigError(f"{path}: row {rownum}: non-finite value in {row}")
-            t_vals.append(vals[t_idx])
-            u_rows.append([vals[i] for i in u_idx])
-            y_rows.append([vals[i] for i in y_idx])
+        try:
+            vals = [float(v) for v in row]
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {rownum}: {exc}") from None
+        if not all(np.isfinite(vals)):
+            raise ConfigError(f"{path}: row {rownum}: non-finite value in {row}")
+        t_vals.append(vals[t_idx])
+        u_rows.append([vals[i] for i in u_idx])
+        y_rows.append([vals[i] for i in y_idx])
     if len(t_vals) < 2:
         raise ConfigError(f"{path}: need at least 2 data rows to infer the sampling interval")
     t = np.asarray(t_vals)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, ConvergenceError, NumericalError
-from .signals import Dataset, _format
+from .signals import Dataset, _format, _read_text
 
 
 def _as_matrix(M, name: str) -> np.ndarray:
@@ -310,8 +310,7 @@ def load_model(path) -> StateSpaceModel:
     Malformed content raises ConfigError naming the file and the line,
     counting every line of the file from 1.
     """
-    with open(path) as fh:
-        text = fh.read().splitlines()
+    text = _read_text(path).splitlines()
     lines = iter([(num, ln.split()) for num, ln in enumerate(text, start=1) if ln.strip()])
 
     def values(what: str, key, count: int, kind=float) -> list:

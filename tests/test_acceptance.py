@@ -14,7 +14,7 @@ import pytest
 from qp_oracle import enumerate_qp, random_feasible_qp
 
 from sidmpc.cli import excitation_record
-from sidmpc.config import load_experiment_config, make_mpc_config
+from sidmpc.config import load_experiment_config
 from sidmpc.mpc import MpcConfig, MpcController, build_prediction
 from sidmpc.multimodel import ModelBank
 from sidmpc.plant import make_default_fccu
@@ -102,15 +102,14 @@ def run_config_pair(path, seed=None):
     reports = {mid: estimate_n4sid(train, cfg, valid)
                for mid, cfg in exp.id_configs.items()}
     models = {mid: r.model for mid, r in reports.items()}
-    mpccfg = make_mpc_config(exp.controller, plant)
 
-    sid = exp.controller.single_model or exp.bank_ids[0]
-    single = MpcController(models[sid], mpccfg)
+    sid = exp.single_model or exp.bank_ids[0]
+    single = MpcController(models[sid], exp.controller)
     res_single = run_closed_loop(
         plant, single, exp.run.duration, setpoints=exp.run.setpoints,
         disturbances=exp.run.disturbances, seed=run_seed, single_model_id=sid)
 
-    bank = ModelBank([(mid, MpcController(models[mid], mpccfg))
+    bank = ModelBank([(mid, MpcController(models[mid], exp.controller))
                       for mid in exp.bank_ids],
                      sync_mode=exp.sync_mode,
                      switch_threshold=exp.switch_threshold)

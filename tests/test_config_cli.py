@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from sidmpc.cli import excitation_record, main
-from sidmpc.config import (ControllerSettings, load_experiment_config,
-                           make_mpc_config, resolve_output_dir)
+from sidmpc.config import load_experiment_config, resolve_output_dir
 from sidmpc.errors import ConfigError
-from sidmpc.plant import make_default_fccu
+from sidmpc.mpc import MpcConfig
+from sidmpc.signals import load_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -89,13 +89,15 @@ def test_load_full_config(tmp_path, rooted):
     exp = load_experiment_config(write_ini(tmp_path))
     assert exp.plant.p == 2
     assert np.array_equal(exp.plant.noise_std, [0.0, 0.0])
-    assert exp.excitation.register_length == 7
-    assert exp.excitation.total_length == 900
-    assert np.array_equal(exp.excitation.amplitude, [2.0, 1.5])
+    assert [s.register_length for s in exp.excitation] == [7, 7]
+    assert [s.total_length for s in exp.excitation] == [900, 900]
+    assert [s.levels for s in exp.excitation] == [(-2.0, 2.0), (-1.5, 1.5)]
+    assert [s.phase for s in exp.excitation] == [0, 63]
     assert exp.split_fraction == 0.5
     assert list(exp.id_configs) == ["a", "b"]
     assert exp.id_configs["a"].order == 2
     assert exp.controller.P == 15 and exp.controller.M == 5
+    assert exp.single_model is None
     assert exp.sync_mode == "kalman-only"
     assert exp.switch_threshold == 0.0
     assert exp.bank_ids == ["a", "b"]
@@ -139,6 +141,15 @@ def test_noise_std_length_check(tmp_path):
         load_experiment_config(path)
 
 
+@pytest.mark.parametrize("noise", ["-1 -1", "-1 0.3"])
+def test_negative_noise_std_exits_1(tmp_path, rooted, capsys, noise):
+    # the overrides go through PlantConfig's own checks
+    assert run_cli("identify", str(write_ini(tmp_path, noise=noise))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [plant] noise_std needs 2 nonnegative")
+    assert not (rooted / "runs/exp/ident").exists()
+
+
 def test_order_and_range_are_exclusive(tmp_path):
     path = write_ini(tmp_path, extra=lambda s: s.replace(
         "[identification.a]\nf = 10\np = 10\norder = 2",
@@ -164,31 +175,31 @@ def test_missing_config_file(tmp_path):
 # unit translation and output rooting
 
 
-def test_make_mpc_config_shifts_to_deviations():
-    plant = make_default_fccu()
-    settings = ControllerSettings(
-        P=10, M=3, q_weights=np.array([1.0, 2.0]), r_weights=np.array([0.1, 0.2]),
-        y_min=np.array([0.0, 0.0]), y_max=np.array([800.0, 1150.0]),
-        u_min=np.array([0.0, 0.0]), u_max=np.array([100.0, 60.0]),
-        du_max=np.array([4.0, 4.0]),
-    )
-    cfg = make_mpc_config(settings, plant)
+def test_controller_section_loads_in_deviation_units(tmp_path, rooted):
+    path = write_ini(tmp_path, extra=lambda s: s.replace(
+        "q_weights = 1.0 1.0\nr_weights = 0.1 0.1",
+        "q_weights = 1.0 2.0\nr_weights = 0.1 0.2\nu_min = 0 0\nu_max = 100 60"
+    ).replace("[controller]", "[controller]\nsingle_model = b"))
+    exp = load_experiment_config(path)
+    cfg = exp.controller
+    assert isinstance(cfg, MpcConfig)
+    assert np.array_equal(cfg.Q_weights, [1.0, 2.0])
+    assert np.array_equal(cfg.R_weights, [0.1, 0.2])
     assert np.array_equal(cfg.y_min, [-777.0, -965.0])
     assert np.array_equal(cfg.y_max, [23.0, 185.0])
     assert np.array_equal(cfg.u_min, [-50.0, -30.0])
     assert np.array_equal(cfg.u_max, [50.0, 30.0])
     assert np.array_equal(cfg.du_max, [4.0, 4.0])
-    assert cfg.ts == plant.ts
+    assert cfg.ts == exp.plant.ts
+    assert exp.single_model == "b"
 
 
-def test_make_mpc_config_wraps_validation_errors():
-    plant = make_default_fccu()
-    settings = ControllerSettings(
-        P=3, M=10, q_weights=np.array([1.0, 1.0]), r_weights=np.array([0.1, 0.1]),
-        y_min=np.array([0.0, 0.0]), y_max=np.array([800.0, 1150.0]),
-    )
+def test_controller_validation_errors_name_the_section(tmp_path):
+    path = write_ini(tmp_path, extra=lambda s: s.replace(
+        "prediction_horizon = 15\ncontrol_horizon = 5",
+        "prediction_horizon = 3\ncontrol_horizon = 10"))
     with pytest.raises(ConfigError, match=r"\[controller\].*M"):
-        make_mpc_config(settings, plant)
+        load_experiment_config(path)
 
 
 def test_resolve_output_dir(monkeypatch, tmp_path):
@@ -200,8 +211,8 @@ def test_resolve_output_dir(monkeypatch, tmp_path):
 
 
 def test_excitation_channels_are_phase_shifted_copies(tmp_path, rooted):
-    exp = load_experiment_config(write_ini(tmp_path))
-    exp.excitation.amplitude = np.array([2.0, 2.0])
+    exp = load_experiment_config(write_ini(tmp_path, extra=lambda s: s.replace(
+        "amplitude = 2.0 1.5", "amplitude = 2.0 2.0")))
     dev = excitation_record(exp) - exp.plant.u_ss
     period, offset = 127, 63
     assert np.array_equal(dev[: period - offset, 1], dev[offset:period, 0])
@@ -345,6 +356,64 @@ def test_compare_malformed_run_exits_1(tmp_path, rooted, capsys, fname, corrupt)
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(bad / fname) in err
     assert message in err
+
+
+def _tracking_ini(tmp_path, old, new):
+    text = (CONFIG_DIR / "fccu-tracking.ini").read_text()
+    assert text.count(old) == 1
+    path = tmp_path / "tracking.ini"
+    path.write_text(text.replace(old, new).replace(
+        "directory = out/fccu-tracking", "directory = runs/tracking"))
+    return path
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("duration = 120", "duration = nan", "[run] duration = 'nan'"),
+    ("duration = 120", "duration = inf", "[run] duration = 'inf'"),
+    ("du_max = 2 2", "du_max = inf 2", "[controller] du_max = 'inf 2'"),
+    ("70  779 983", "70  nan 983", "[run] setpoints row 3"),
+    ("amplitude = 2.0 2.0", "amplitude = inf 2", "[excitation] amplitude = 'inf 2'"),
+], ids=["duration-nan", "duration-inf", "du_max-inf", "setpoint-nan", "amplitude-inf"])
+def test_non_finite_ini_number_exits_1(tmp_path, rooted, capsys, old, new, key):
+    path = _tracking_ini(tmp_path, old, new)
+    assert run_cli("control", str(path), "--identify", "--mode", "single") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "finite" in err
+
+
+def _identified_files(tmp_path, rooted):
+    path = write_ini(tmp_path)
+    run_cli("control", str(path), "--identify", "--mode", "single")
+    run = rooted / "runs/exp"
+    return {"config": path, "model": run / "ident/model_a.txt",
+            "dataset": run / "ident/dataset.csv",
+            "trajectory": run / "control-single/trajectory.csv",
+            "summary": run / "control-single/summary.json"}
+
+
+@pytest.mark.parametrize("which, argv", [
+    ("config", ("identify", "{config}")),
+    ("model", ("control", "{config}", "--mode", "single")),
+    ("trajectory", ("compare", "{run}", "{run}", "--out", "{run}/cmp")),
+    ("summary", ("compare", "{run}", "{run}", "--out", "{run}/cmp")),
+], ids=["config", "model", "trajectory", "summary"])
+def test_undecodable_byte_exits_1(tmp_path, rooted, capsys, which, argv):
+    files = _identified_files(tmp_path, rooted)
+    bad = files[which]
+    bad.write_bytes(bad.read_bytes() + b"\xff")
+    run_dir = files["trajectory"].parent
+    capsys.readouterr()
+    assert run_cli(*(a.format(config=files["config"], run=run_dir) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+
+
+def test_load_csv_refuses_an_undecodable_byte(tmp_path, rooted):
+    dataset = _identified_files(tmp_path, rooted)["dataset"]
+    assert load_csv(dataset).N == 900
+    dataset.write_bytes(dataset.read_bytes() + b"\xff")
+    with pytest.raises(ConfigError, match=str(dataset)):
+        load_csv(dataset)
 
 
 def test_compare_missing_dir_exits_3(tmp_path, rooted, capsys):

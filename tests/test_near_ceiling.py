@@ -17,7 +17,7 @@ from qp_oracle import kkt_violation
 
 import sidmpc.mpc as mpc
 from sidmpc.cli import excitation_record
-from sidmpc.config import load_experiment_config, make_mpc_config
+from sidmpc.config import load_experiment_config
 from sidmpc.mpc import MpcController
 from sidmpc.multimodel import ModelBank
 from sidmpc.runner import Schedule, run_closed_loop, run_open_loop
@@ -42,7 +42,7 @@ def setup():
     train, valid = split(data.shifted(plant.u_ss, plant.y_ss), exp.split_fraction)
     models = {mid: estimate_n4sid(train, cfg, valid).model
               for mid, cfg in exp.id_configs.items()}
-    return exp, models, make_mpc_config(exp.controller, plant)
+    return exp, models, exp.controller
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])
