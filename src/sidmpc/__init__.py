@@ -37,7 +37,7 @@ from .subspace import (
 )
 from .qp import QpProblem, solve_qp
 from .mpc import MpcConfig, MpcController, build_prediction
-from .multimodel import ModelBank, mm_control_step, synchronize
+from .multimodel import ModelBank, mm_control_step
 from .plant import (
     PlantConfig,
     PlantState,
@@ -114,5 +114,4 @@ __all__ = [
     "split",
     "step_metrics",
     "summarize",
-    "synchronize",
 ]

@@ -8,8 +8,8 @@ Subcommands:
 
 Every run directory is self-describing: it receives a copy of the config
 that produced it plus a metadata sidecar.  All numeric output files are
-byte-reproducible for a fixed config and seed; wall-clock timestamps live
-only in the sidecar.
+byte-reproducible for the same config, seed, NumPy build and BLAS thread
+count; wall-clock timestamps live only in the sidecar.
 """
 
 from __future__ import annotations
@@ -389,7 +389,6 @@ def main(argv=None) -> int:
             return cmd_compare(args.dir_a, args.dir_b, args.out)
         if args.command == "prbs-preview":
             return cmd_prbs_preview(args.config, args.out)
-        parser.error(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

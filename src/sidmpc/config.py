@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConfigError
 from .mpc import MpcConfig
 from .plant import PlantConfig, make_default_fccu
-from .runner import Schedule, parse_schedule
+from .runner import Schedule, _step_count, parse_schedule
 from .signals import PrbsSpec, _read_text
 from .subspace import N4sidConfig
 
@@ -118,6 +118,9 @@ def load_experiment_config(path) -> ExperimentConfig:
         ident = cp["identification"]
         split_fraction = _get(ident, "split_fraction", _float,
                               required=False, default=0.5)
+        if not 0.0 < split_fraction < 1.0:
+            raise ConfigError(f"[identification] split_fraction = {split_fraction!r} "
+                              "must lie in (0, 1)")
         model_ids = _get(ident, "models", lambda r: r.split(),
                          required=False, default=[])
         for mid in model_ids:
@@ -193,6 +196,8 @@ def _build_excitation(cp, plant: PlantConfig) -> list:
     sec = _section(cp, "excitation")
     n = _get(sec, "register_length", int)
     amplitude = _get(sec, "amplitude", lambda r: _floats(r, plant.m))
+    if not np.all(amplitude > 0):
+        raise ConfigError(f"[excitation] amplitude = {amplitude.tolist()} must be positive")
     common = dict(
         register_length=n,
         total_length=_get(sec, "total_length", int),
@@ -256,6 +261,10 @@ def _build_controller(cp, plant: PlantConfig) -> MpcConfig:
 def _build_run(cp, plant: PlantConfig) -> RunSettings:
     sec = _section(cp, "run")
     duration = _get(sec, "duration", _float)
+    try:
+        _step_count(duration, plant.ts)
+    except ConfigError as exc:
+        raise ConfigError(f"[run] {exc}") from None
     seed = _get(sec, "seed", int, required=False, default=0)
     sp_text = sec.get("setpoints", "")
     setpoints = parse_schedule(sp_text, plant.p, "[run] setpoints") if sp_text.strip() else None

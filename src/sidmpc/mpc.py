@@ -262,7 +262,6 @@ class MpcController:
         diag["J"] = float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
         diag["active"] = active
         diag["yhat"] = yhat
-        diag["xhat"] = xhat.copy()
         diag["du"] = dU[: self.model.m].copy()
         return u_k, diag
 

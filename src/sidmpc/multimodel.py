@@ -62,9 +62,6 @@ class ModelBank:
         self.last_diagnostics: list = []
         self._incumbent: "int | None" = None
 
-    def __len__(self):
-        return len(self.entries)
-
 
 def _same_loop_config(a, b) -> bool:
     if (a.P, a.M) != (b.P, b.M) or a.ts != b.ts:
@@ -117,27 +114,13 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
         # challenger is better by the configured relative margin
         sel = inc
     u_k = proposals[sel]
-    for _, ctrl in bank.entries:
+    x_sel = bank.entries[sel][1].estimator.xhat
+    for i, (_, ctrl) in enumerate(bank.entries):
         ctrl.u_prev = u_k.copy()
-    synchronize(bank, bank.entries[sel][0])
+        # losers take the winner's state; kalman-only filters already absorbed (u_prev, y_k)
+        if bank.sync_mode == "state-copy" and i != sel:
+            ctrl.estimator.xhat = x_sel.copy()
     bank._incumbent = sel
     bank.last_diagnostics = diags
     return u_k, bank.entries[sel][0], J
 
-
-def synchronize(bank: ModelBank, selected) -> None:
-    """Post-selection state alignment of the losing controllers."""
-    if bank.sync_mode == "kalman-only":
-        # each filter already absorbed (u_prev, y_k); nothing to copy
-        return
-    sel_ctrl = None
-    for mid, ctrl in bank.entries:
-        if mid == selected:
-            sel_ctrl = ctrl
-            break
-    if sel_ctrl is None:
-        raise ConfigError(f"no bank entry with model_id {selected!r}")
-    x_sel = sel_ctrl.estimator.xhat
-    for mid, ctrl in bank.entries:
-        if ctrl is not sel_ctrl:
-            ctrl.estimator.xhat = x_sel.copy()

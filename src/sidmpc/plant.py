@@ -48,8 +48,6 @@ class PlantConfig:
     noise_std: np.ndarray = None
     disturbance_gain: np.ndarray = None
     disturbance_entry: str = "output"
-    y_window_low: np.ndarray = None
-    y_window_high: np.ndarray = None
 
     def __post_init__(self):
         for name in ("a_low", "b_low", "c_low", "d_low",
@@ -100,17 +98,6 @@ class PlantConfig:
             rho = _spectral_radius(A)
             if rho >= 1.0:
                 raise ConfigError(f"regime core {name} is unstable (radius {rho:.4f})")
-        if self.y_window_low is None:
-            self.y_window_low = np.zeros(p)
-        if self.y_window_high is None:
-            self.y_window_high = np.array([800.0, 1150.0])[:p]
-        self.y_window_low = np.asarray(self.y_window_low, dtype=float).reshape(-1)
-        self.y_window_high = np.asarray(self.y_window_high, dtype=float).reshape(-1)
-        if np.any(self.y_ss <= self.y_window_low) or np.any(self.y_ss >= self.y_window_high):
-            raise ConfigError(
-                f"steady output {self.y_ss} must lie inside the window "
-                f"[{self.y_window_low}, {self.y_window_high}]"
-            )
         if not self.ts > 0:
             raise ConfigError(f"ts must be positive, got {self.ts}")
 
@@ -125,14 +112,6 @@ class PlantConfig:
     @property
     def p(self) -> int:
         return self.c_low.shape[0]
-
-    def dc_gain(self, regime: str) -> np.ndarray:
-        """Steady-state gain matrix of one regime core."""
-        A, B, C, D = {
-            "low": (self.a_low, self.b_low, self.c_low, self.d_low),
-            "high": (self.a_high, self.b_high, self.c_high, self.d_high),
-        }[regime]
-        return C @ np.linalg.solve(np.eye(self.n) - A, B) + D
 
 
 @dataclass

@@ -10,8 +10,8 @@ keeps stationarity and W tight, found from the small Schur block
 A_W H^-1 A_W'.  A step cut short by a multiplier of W reaching zero drops
 that row and continues with p.  When p depends linearly on W and no
 multiplier of W can give way, no primal or dual step exists: the constraint
-set is infeasible.  The final point is recomputed from the equality KKT
-system on W, which removes the drift of the incremental steps.
+set is infeasible.  The final point is recomputed from the same Schur block
+with W held tight, which removes the drift of the incremental steps.
 
 A QpProblem treats H and A_ineq as immutable after construction; callers
 re-solving the same problem shape may rewrite f and b_ineq in place between
@@ -123,17 +123,6 @@ class QpProblem:
         return self._AHinv[rows]
 
 
-def _kkt_point(H, f, A_W, b_W):
-    """Minimizer of the objective with the rows of W held tight: one LU
-    solve of the equality KKT system plus one refinement step."""
-    k, d = A_W.shape
-    K = np.block([[H, A_W.T], [A_W, np.zeros((k, k))]])
-    rhs = np.concatenate([-f, b_W])
-    sol = np.linalg.solve(K, rhs)
-    sol += np.linalg.solve(K, rhs - K @ sol)
-    return sol[:d]
-
-
 def solve_qp(qp: QpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER):
     """Returns (u_star, active_set, objective_value).
 
@@ -206,7 +195,15 @@ def solve_qp(qp: QpProblem, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MA
                 break
             W, lam = np.delete(W, k), np.delete(lam, k)
     if W.size:
-        u = _kkt_point(H, f, A[W], b[W])
+        # the point with W tight from the cached rows G = A_W H^-1:
+        # (A_W G') lam = -(b_W + G f), u = -(H^-1 f + G' lam), refined once
+        G, A_W = qp._ahinv_rows(W), A[W]
+        S = A_W @ G.T
+        lam = np.linalg.solve(S, -(b[W] + G @ f))
+        u = -(Hinv @ f + G.T @ lam)
+        r = -(H @ u + f + A_W.T @ lam)     # one KKT refinement step through S
+        dlam = np.linalg.solve(S, G @ r - (b[W] - A_W @ u))
+        u += Hinv @ r - G.T @ dlam
         viol = A @ u - b
     active = [int(i) for i in np.flatnonzero(np.abs(viol) <= feas_tol)]
     return u, active, float(f @ u + 0.5 * u @ H @ u)

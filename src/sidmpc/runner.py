@@ -119,6 +119,14 @@ def _zero_disturbance(cfg: PlantConfig):
     return np.zeros(cfg.disturbance_gain.shape[1])
 
 
+def _step_count(duration: float, ts: float) -> int:
+    """Instants in a run; ConfigError unless duration is a positive multiple of ts."""
+    n = int(round(duration / ts))
+    if n < 1 or abs(n * ts - duration) > 1e-9 * max(1.0, abs(duration)):
+        raise ConfigError(f"duration {duration} is not a positive multiple of ts {ts}")
+    return n
+
+
 @dataclass
 class RunResult:
     t: np.ndarray
@@ -152,11 +160,7 @@ def run_closed_loop(
     over the horizon is the current setpoint held constant.
     """
     ts = plant_cfg.ts
-    n_steps = int(round(duration / ts))
-    if n_steps < 1 or abs(n_steps * ts - duration) > 1e-9 * max(1.0, abs(duration)):
-        raise ConfigError(
-            f"duration {duration} is not a positive multiple of ts {ts}"
-        )
+    n_steps = _step_count(duration, ts)
     is_bank = isinstance(controller, ModelBank)
     first = controller.entries[0][1] if is_bank else controller
     m, p = first.model.m, first.model.p
@@ -258,15 +262,6 @@ def iae(result: RunResult, t_start: Optional[float] = None,
     return err.sum(axis=0) * result.ts
 
 
-def _first_step(r_col: np.ndarray):
-    """Index and levels of the first setpoint change in one channel."""
-    changes = np.nonzero(np.diff(r_col) != 0)[0]
-    if changes.size == 0:
-        return None
-    i = int(changes[0]) + 1
-    return i, float(r_col[i - 1]), float(r_col[i])
-
-
 def step_metrics(result: RunResult) -> list:
     """Rise time (10-90%), settling time (2% band), overshoot % per channel.
 
@@ -275,33 +270,27 @@ def step_metrics(result: RunResult) -> list:
     """
     out = []
     for j in range(result.r.shape[1]):
-        found = _first_step(result.r[:, j])
-        if found is None:
+        r = result.r[:, j]
+        changes = np.flatnonzero(np.diff(r) != 0)
+        if changes.size == 0:
             out.append({"rise_time": None, "settling_time": None,
                         "overshoot_pct": None})
             continue
-        i0, old, new = found
+        i0 = int(changes[0]) + 1
+        old, new = float(r[i0 - 1]), float(r[i0])
         delta = new - old
         y = result.y[i0:, j]
         tt = result.t[i0:]
         sgn = np.sign(delta)
-        lo, hi = old + 0.1 * delta, old + 0.9 * delta
-        t10 = t90 = None
-        for k in range(y.shape[0]):
-            v = y[k] * sgn
-            if t10 is None and v >= lo * sgn:
-                t10 = tt[k]
-            if v >= hi * sgn:
-                t90 = tt[k]
-                break
-        rise = None if (t10 is None or t90 is None) else float(t90 - t10)
-        band = 0.02 * abs(delta)
-        inside = np.abs(y - new) <= band
-        settle = None
-        for k in range(inside.shape[0]):
-            if inside[k:].all():
-                settle = float(tt[k] - result.t[i0])
-                break
+        v = y * sgn
+        hit90 = v >= (old + 0.9 * delta) * sgn
+        rise = None
+        if hit90.any():
+            rise = float(tt[np.argmax(hit90)] - tt[np.argmax(v >= (old + 0.1 * delta) * sgn)])
+        # settled from the sample after the last one outside the 2% band
+        outside = np.flatnonzero(~(np.abs(y - new) <= 0.02 * abs(delta)))
+        k = outside[-1] + 1 if outside.size else 0
+        settle = float(tt[k] - result.t[i0]) if k < y.shape[0] else None
         over = float(max(np.max((y - new) * sgn), 0.0) / abs(delta) * 100.0)
         out.append({"rise_time": rise, "settling_time": settle,
                     "overshoot_pct": over})

@@ -81,24 +81,30 @@ class PrbsSpec:
             raise ConfigError("phase must be >= 0")
 
 
-def _lfsr_bits(n: int, taps: Sequence[int], seed: int, count: int) -> np.ndarray:
-    """Clock the register `count` times and return the output bits.
+def _lfsr_cycle(n: int, taps: Sequence[int], seed: int) -> np.ndarray:
+    """Output bits of the register clocked from `seed` until the state
+    returns to `seed`: one period of the bit sequence.
 
     Tap t selects the stage holding the bit clocked in t steps earlier; in
     the left-shifting state word that is bit position t - 1.  The emitted
-    bit is the oldest stage (position n - 1).
+    bit is the oldest stage (position n - 1).  The result is empty if the
+    register falls into the absorbing all-zero state or never returns.
     """
     state = seed
     mask = (1 << n) - 1
     shifts = [t - 1 for t in taps]
-    out = np.empty(count, dtype=np.int8)
-    for i in range(count):
-        out[i] = (state >> (n - 1)) & 1
+    out = []
+    for _ in range(1 << n):
+        out.append((state >> (n - 1)) & 1)
         fb = 0
         for s in shifts:
             fb ^= (state >> s) & 1
         state = ((state << 1) | fb) & mask
-    return out
+        if state == 0:
+            break
+        if state == seed:
+            return np.array(out, dtype=np.int8)
+    return np.zeros(0, dtype=np.int8)
 
 
 def measure_period(n: int, taps: Sequence[int], seed: int) -> int:
@@ -106,19 +112,7 @@ def measure_period(n: int, taps: Sequence[int], seed: int) -> int:
 
     Returns 0 if the register falls into the absorbing all-zero state.
     """
-    state = seed
-    mask = (1 << n) - 1
-    shifts = [t - 1 for t in taps]
-    for step in range(1, (1 << n) + 1):
-        fb = 0
-        for s in shifts:
-            fb ^= (state >> s) & 1
-        state = ((state << 1) | fb) & mask
-        if state == 0:
-            return 0
-        if state == seed:
-            return step
-    return 0
+    return _lfsr_cycle(n, taps, seed).size
 
 
 def prbs_generate(spec: PrbsSpec) -> np.ndarray:
@@ -128,15 +122,15 @@ def prbs_generate(spec: PrbsSpec) -> np.ndarray:
     exactly 2^n - 1); non-primitive taps are rejected.
     """
     n = spec.register_length
-    period = measure_period(n, spec.taps, spec.seed)
+    cycle = _lfsr_cycle(n, spec.taps, spec.seed)
     expected = (1 << n) - 1
-    if period != expected:
+    if cycle.size != expected:
         raise ConfigError(
             f"taps {spec.taps} are not primitive for register length {n}: "
-            f"measured period {period}, expected {expected}"
+            f"measured period {cycle.size}, expected {expected}"
         )
     nbits = spec.phase + (spec.total_length + spec.clock_period - 1) // spec.clock_period
-    bits = _lfsr_bits(n, spec.taps, spec.seed, nbits)[spec.phase:]
+    bits = np.resize(cycle, nbits)[spec.phase:]
     held = np.repeat(bits, spec.clock_period)[: spec.total_length]
     low, high = spec.levels
     return np.where(held == 1, float(high), float(low))

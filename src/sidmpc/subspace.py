@@ -301,10 +301,10 @@ def estimate_n4sid(
             covs[n] = _residual_covariance(models[n], d, burn_in=p_past)
             kparams[n] = n * (m + py) + n * py + py * m
 
-    chosen, scores_vec, skipped = candidates[0], None, []
+    chosen, scores_vec = candidates[0], None
     if by_aic:
         chosen = aic_order_select(covs, kparams, d.N)
-        scores, skipped = aic_scores(covs, kparams, d.N)
+        scores, _ = aic_scores(covs, kparams, d.N)
         scores_vec = np.array([scores.get(nn, np.nan) for nn in candidates])
 
     model = models[chosen]
@@ -330,7 +330,6 @@ def estimate_n4sid(
             "predictor_radius": radius,
             "numerical_rank": rank,
             "aic_candidates": candidates if by_aic else None,
-            "aic_skipped": skipped or None,
         },
     )
 

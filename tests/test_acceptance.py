@@ -85,8 +85,8 @@ def half_blend_model(plant_cfg):
 def window_mpc_config(plant_cfg, P=15, M=5):
     return MpcConfig(
         P=P, M=M, Q_weights=[1.0, 1.0], R_weights=[0.1, 0.1],
-        y_min=plant_cfg.y_window_low - plant_cfg.y_ss,
-        y_max=plant_cfg.y_window_high - plant_cfg.y_ss,
+        y_min=np.array([0.0, 0.0]) - plant_cfg.y_ss,
+        y_max=np.array([800.0, 1150.0]) - plant_cfg.y_ss,
         du_max=[2.0, 2.0], ts=plant_cfg.ts,
     )
 

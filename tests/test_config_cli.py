@@ -381,6 +381,20 @@ def test_non_finite_ini_number_exits_1(tmp_path, rooted, capsys, old, new, key):
     assert err.startswith("config error: ") and key in err and "finite" in err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("duration = 120", "duration = -5", "[run] duration"),
+    ("duration = 120", "duration = 120.2", "[run] duration"),
+    ("split_fraction = 0.7", "split_fraction = 2", "[identification] split_fraction"),
+    ("amplitude = 2.0 2.0", "amplitude = 0 2", "[excitation] amplitude"),
+], ids=["duration-negative", "duration-off-grid", "split-fraction", "amplitude-zero"])
+def test_loader_refuses_before_the_plant_runs(tmp_path, rooted, capsys, old, new, key):
+    path = _tracking_ini(tmp_path, old, new)
+    assert run_cli("control", str(path), "--identify", "--mode", "single") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and "levels" not in err
+    assert not (rooted / "runs/tracking/ident").exists()
+
+
 def _identified_files(tmp_path, rooted):
     path = write_ini(tmp_path)
     run_cli("control", str(path), "--identify", "--mode", "single")

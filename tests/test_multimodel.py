@@ -5,7 +5,7 @@ import pytest
 
 from sidmpc.errors import ConfigError, NumericalError
 from sidmpc.mpc import MpcConfig, MpcController
-from sidmpc.multimodel import ModelBank, mm_control_step, synchronize
+from sidmpc.multimodel import ModelBank, mm_control_step
 from sidmpc.ssmodel import KalmanState, StateSpaceModel, kalman_step, solve_dare
 
 WIDE = dict(y_min=[-1e6], y_max=[1e6])
@@ -198,13 +198,6 @@ def test_state_copy_rejects_mixed_orders():
         ModelBank([("s", make_ctrl(scalar_model(0.9, 1.0))),
                    ("d", make_ctrl(order2_model()))],
                   sync_mode="state-copy")
-
-
-def test_synchronize_unknown_id():
-    bank = ModelBank([("a", make_ctrl(scalar_model(0.9, 1.0)))],
-                     sync_mode="state-copy")
-    with pytest.raises(ConfigError, match="no bank entry"):
-        synchronize(bank, "missing")
 
 
 # ---------------------------------------------------------------------------

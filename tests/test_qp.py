@@ -204,3 +204,31 @@ def test_inverse_cached_per_problem():
     assert qp._Hinv is Hinv
     np.testing.assert_allclose(Hinv @ qp.H, np.eye(qp.d), atol=1e-10)
 
+
+
+def test_constrained_solve_factors_only_working_set_blocks(monkeypatch):
+    # with H^-1 cached, a solve that ends with k active rows of 100 variables
+    # solves and inverts nothing larger than k x k: no (100 + k)-square KKT
+    rng = np.random.default_rng(11)
+    d, r = 100, 30
+    G = rng.normal(size=(d, d))
+    H = G @ G.T / d + np.eye(d)
+    A = rng.normal(size=(r, d))
+    u_free = rng.normal(size=d)
+    qp = QpProblem(H, -H @ u_free, A, A @ u_free - rng.uniform(0.5, 2.0, r))
+    u_first, active, _ = solve_qp(qp)
+    k = len(active)
+    assert k >= 5
+    calls = []
+    for name in ("solve", "inv"):
+        orig = getattr(np.linalg, name)
+
+        def wrapped(*args, _orig=orig, **kwargs):
+            calls.append([np.shape(a) for a in args])
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapped)
+    u, again, _ = solve_qp(qp)
+    assert again == active and np.array_equal(u, u_first)
+    assert calls, "the constrained path solves its working-set systems"
+    assert max(max(shape) for shapes in calls for shape in shapes) <= k

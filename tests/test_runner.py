@@ -26,8 +26,8 @@ def half_blend_model(plant_cfg):
 def fccu_controller(plant_cfg, P=15, M=5):
     cfg = MpcConfig(
         P=P, M=M, Q_weights=[1.0, 1.0], R_weights=[0.1, 0.1],
-        y_min=plant_cfg.y_window_low - plant_cfg.y_ss,
-        y_max=plant_cfg.y_window_high - plant_cfg.y_ss,
+        y_min=np.array([0.0, 0.0]) - plant_cfg.y_ss,
+        y_max=np.array([800.0, 1150.0]) - plant_cfg.y_ss,
         du_max=[4.0, 4.0], ts=plant_cfg.ts,
     )
     return MpcController(half_blend_model(plant_cfg), cfg)
@@ -317,6 +317,77 @@ def test_step_metrics_without_step_reports_none():
     res = _manual_result(np.zeros(10), np.zeros(10))
     m = step_metrics(res)[0]
     assert m == {"rise_time": None, "settling_time": None, "overshoot_pct": None}
+
+
+def _loop_step_metrics(result):
+    """Per-sample reference for step_metrics: scan each response forward
+    for the 10% and 90% crossings and for the first sample from which it
+    stays inside the 2% band."""
+    out = []
+    for j in range(result.r.shape[1]):
+        r = result.r[:, j]
+        changes = np.nonzero(np.diff(r) != 0)[0]
+        if changes.size == 0:
+            out.append({"rise_time": None, "settling_time": None,
+                        "overshoot_pct": None})
+            continue
+        i0 = int(changes[0]) + 1
+        old, new = float(r[i0 - 1]), float(r[i0])
+        delta = new - old
+        y, tt, sgn = result.y[i0:, j], result.t[i0:], np.sign(delta)
+        lo, hi = old + 0.1 * delta, old + 0.9 * delta
+        t10 = t90 = None
+        for k in range(y.shape[0]):
+            v = y[k] * sgn
+            if t10 is None and v >= lo * sgn:
+                t10 = tt[k]
+            if v >= hi * sgn:
+                t90 = tt[k]
+                break
+        rise = None if (t10 is None or t90 is None) else float(t90 - t10)
+        inside = np.abs(y - new) <= 0.02 * abs(delta)
+        settle = None
+        for k in range(inside.shape[0]):
+            if inside[k:].all():
+                settle = float(tt[k] - result.t[i0])
+                break
+        over = float(max(np.max((y - new) * sgn), 0.0) / abs(delta) * 100.0)
+        out.append({"rise_time": rise, "settling_time": settle,
+                    "overshoot_pct": over})
+    return out
+
+
+def _random_step_response(rng, case):
+    """Seeded response to one setpoint step, shaped to exercise one branch."""
+    n_pre, n_post = int(rng.integers(1, 6)), int(rng.integers(5, 60))
+    old = rng.uniform(-50.0, 50.0)
+    delta = rng.uniform(0.5, 20.0) * (-1.0 if case == "falling" else 1.0)
+    k = np.arange(n_post)
+    reach = {"never-90": rng.uniform(0.3, 0.85)}.get(case, 1.0)
+    y = old + reach * delta * (1.0 - rng.uniform(0.3, 0.95) ** k)
+    y += rng.normal(0.0, 0.01, n_post) * abs(delta)
+    if case == "never-settles":
+        y[-1] = old + delta * rng.choice([0.9, 1.1])
+    if case == "inside-at-once":
+        y = old + delta + rng.uniform(-0.015, 0.015, n_post) * abs(delta)
+    r = np.r_[np.full(n_pre, old), np.full(n_post, old + delta)]
+    return _manual_result(r, np.r_[old + rng.normal(0.0, 0.1, n_pre), y])
+
+
+@pytest.mark.parametrize("seed, case", enumerate(
+    ["rising", "falling", "never-90", "never-settles", "inside-at-once"]))
+def test_step_metrics_matches_per_sample_reference(seed, case):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        res = _random_step_response(rng, case)
+        got, want = step_metrics(res)[0], _loop_step_metrics(res)[0]
+        assert got == want
+        if case == "never-90":
+            assert got["rise_time"] is None
+        if case == "never-settles":
+            assert got["settling_time"] is None
+        if case == "inside-at-once":
+            assert got["settling_time"] == 0.0
 
 
 def test_count_violations_uses_tolerance():
