@@ -14,7 +14,7 @@ from .errors import (
     NumericalError,
     SidmpcError,
 )
-from .signals import Dataset, PrbsSpec, load_csv, prbs_generate, save_csv, split
+from .signals import Dataset, PrbsSpec, prbs_generate, save_csv, split
 from .ssmodel import (
     KalmanState,
     StateSpaceModel,
@@ -93,7 +93,6 @@ __all__ = [
     "fit_percent",
     "iae",
     "kalman_step",
-    "load_csv",
     "load_experiment_config",
     "load_model",
     "make_default_fccu",

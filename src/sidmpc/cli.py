@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -35,11 +36,25 @@ from .ssmodel import load_model, save_model
 from .subspace import estimate_n4sid
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _write_meta(run_dir: Path, command: str, config_path=None) -> None:
+    """Sidecar with the wall-clock time and the environment the output
+    bytes depend on: the NumPy build, its BLAS and the BLAS thread settings
+    (null when unset)."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+    except (TypeError, KeyError):   # NumPy before 1.26 only prints its config
+        deps = {}
+    blas = deps.get("blas", {})
     meta = {
         "command": command,
         "created": datetime.now(timezone.utc).isoformat(),
         "config": None if config_path is None else str(config_path),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
     }
     (run_dir / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -133,16 +148,15 @@ def cmd_control(config_path, mode: str, identify: bool = False) -> int:
     _require(bool(exp.bank_ids), "no bank models configured "
              "([multimodel] bank or [identification] models)")
 
+    single_id = exp.single_model or exp.bank_ids[0]
     if mode == "single":
-        single_id = exp.single_model or exp.bank_ids[0]
         models = _load_bank(exp, [single_id])
         run_controller = MpcController(models[single_id], exp.controller)
     else:
         models = _load_bank(exp, exp.bank_ids)
         run_controller = ModelBank(
             [(mid, MpcController(models[mid], exp.controller)) for mid in exp.bank_ids],
-            sync_mode=exp.sync_mode, switch_threshold=exp.switch_threshold)
-        single_id = exp.bank_ids[0]
+            switch_threshold=exp.switch_threshold)
 
     result = run_closed_loop(
         exp.plant, run_controller,

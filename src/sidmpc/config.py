@@ -8,7 +8,9 @@ Sections:
   [controller]      horizons, weights, constraint windows (absolute units,
                     loaded as an MpcConfig in deviations from the plant's
                     operating point)
-  [multimodel]      sync mode and bank composition
+  [multimodel]      bank composition and switching hysteresis; every
+                    member keeps its own Kalman state, so a sync_mode key,
+                    kept by older configs, may only say kalman-only
   [run]             duration, seed, setpoint and disturbance schedules
   [output]          run directory (re-rooted by SIDMPC_OUTPUT_ROOT if set)
 
@@ -53,7 +55,6 @@ class ExperimentConfig:
     split_fraction: float
     id_configs: dict                  # model id -> N4sidConfig, insertion order
     controller: Optional[MpcConfig]
-    sync_mode: str
     switch_threshold: float
     bank_ids: list
     run: Optional[RunSettings]
@@ -102,7 +103,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are read literally: a '%' is text, not an interpolation
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                   interpolation=None)
     text = _read_text(path)
     try:
         cp.read_string(text)
@@ -129,13 +132,15 @@ def load_experiment_config(path) -> ExperimentConfig:
     controller = _build_controller(cp, plant) if cp.has_section("controller") else None
     single_model = cp.get("controller", "single_model", fallback=None)
 
-    sync_mode = "kalman-only"
     switch_threshold = 0.0
     bank_ids: list = list(id_configs)
     if cp.has_section("multimodel"):
         mm = cp["multimodel"]
         sync_mode = _get(mm, "sync_mode", str, required=False,
                          default="kalman-only")
+        if sync_mode != "kalman-only":
+            raise ConfigError(f"[multimodel] sync_mode = {sync_mode!r}: only "
+                              "'kalman-only' is supported (the key may be omitted)")
         switch_threshold = _get(mm, "switch_threshold", _float,
                                 required=False, default=0.0)
         bank_ids = _get(mm, "bank", lambda r: r.split(), required=False,
@@ -153,7 +158,6 @@ def load_experiment_config(path) -> ExperimentConfig:
         split_fraction=split_fraction,
         id_configs=id_configs,
         controller=controller,
-        sync_mode=sync_mode,
         switch_threshold=switch_threshold,
         bank_ids=bank_ids,
         run=run,
@@ -266,6 +270,8 @@ def _build_run(cp, plant: PlantConfig) -> RunSettings:
     except ConfigError as exc:
         raise ConfigError(f"[run] {exc}") from None
     seed = _get(sec, "seed", int, required=False, default=0)
+    if seed < 0:
+        raise ConfigError(f"[run] seed = {seed} must be nonnegative")
     sp_text = sec.get("setpoints", "")
     setpoints = parse_schedule(sp_text, plant.p, "[run] setpoints") if sp_text.strip() else None
     nd = 1 if plant.disturbance_gain is None else plant.disturbance_gain.shape[1]

@@ -222,13 +222,19 @@ class MpcController:
         return self._soft
 
     def _solve_soft(self, qp: QpProblem):
-        """Re-solve with slack on the output bounds, penalty SOFT_PENALTY."""
+        """Re-solve with slack on the output bounds, penalty SOFT_PENALTY.
+
+        The working-set budget scales with the variable count (DU plus one
+        slack per output row), so the softened problem gets the hard
+        problem's budget per variable.
+        """
         soft = self._soft_problem()
         d, ns = qp.d, self.cfg.P * self.model.p
         soft.f[:d] = qp.f
         soft.b_ineq[:2 * ns] = qp.b_ineq[:2 * ns]
         soft.b_ineq[3 * ns:] = qp.b_ineq[2 * ns:]
-        sol, active, _ = solve_qp(soft, tol=self.qp_tol, max_iter=self.qp_max_iter)
+        sol, active, _ = solve_qp(soft, tol=self.qp_tol,
+                                  max_iter=self.qp_max_iter * soft.d // d)
         return sol[:d], sol[d:], active
 
     def _step_core(self, y_k, ref):

@@ -3,9 +3,9 @@
 Every controller in the bank filters the same measurements and solves its
 own QP each instant.  The controller whose optimal horizon cost is lowest
 supplies the applied move; all controllers then adopt that move as their
-last applied input so next instant's costs stay comparable.  Losing
-estimators either keep their own Kalman states (kalman-only mode) or are
-overwritten with the winner's state (state-copy mode, equal orders only).
+last applied input so next instant's costs stay comparable.  Each
+estimator keeps its own Kalman state: independently identified members
+share no state basis, so no state passes between them.
 """
 
 from __future__ import annotations
@@ -15,19 +15,14 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .mpc import MpcController
 
-SYNC_MODES = ("kalman-only", "state-copy")
-
 
 class ModelBank:
     """Ordered collection of (model_id, MpcController) sharing one loop."""
 
-    def __init__(self, entries, sync_mode: str = "kalman-only",
-                 switch_threshold: float = 0.0):
+    def __init__(self, entries, switch_threshold: float = 0.0):
         entries = list(entries)
         if not entries:
             raise ConfigError("model bank needs at least one entry")
-        if sync_mode not in SYNC_MODES:
-            raise ConfigError(f"sync_mode must be one of {SYNC_MODES}, got {sync_mode!r}")
         if not 0.0 <= switch_threshold < 1.0:
             raise ConfigError(
                 f"switch_threshold must lie in [0, 1), got {switch_threshold}"
@@ -50,17 +45,12 @@ class ModelBank:
                     f"bank entry {mid} has different horizons, weights, or "
                     "constraints than the first entry"
                 )
-        if sync_mode == "state-copy":
-            orders = {ctrl.model.n for _, ctrl in entries}
-            if len(orders) > 1:
-                raise ConfigError(
-                    f"state-copy synchronization needs equal model orders, got {orders}"
-                )
         self.entries = entries
-        self.sync_mode = sync_mode
         self.switch_threshold = float(switch_threshold)
         self.last_diagnostics: list = []
-        self._incumbent: "int | None" = None
+        # bank index of the last winner; its diagnostics are
+        # last_diagnostics[incumbent] after an instant with a winner
+        self.incumbent: "int | None" = None
 
 
 def _same_loop_config(a, b) -> bool:
@@ -106,7 +96,7 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
         return u_k, None, J
 
     sel = int(np.argmin(J))  # exact ties resolve to the lowest bank index
-    inc = bank._incumbent
+    inc = bank.incumbent
     if (bank.switch_threshold > 0.0 and inc is not None and sel != inc
             and np.isfinite(J[inc])
             and not J[sel] < J[inc] * (1.0 - bank.switch_threshold)):
@@ -114,13 +104,9 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
         # challenger is better by the configured relative margin
         sel = inc
     u_k = proposals[sel]
-    x_sel = bank.entries[sel][1].estimator.xhat
-    for i, (_, ctrl) in enumerate(bank.entries):
+    for _, ctrl in bank.entries:
         ctrl.u_prev = u_k.copy()
-        # losers take the winner's state; kalman-only filters already absorbed (u_prev, y_k)
-        if bank.sync_mode == "state-copy" and i != sel:
-            ctrl.estimator.xhat = x_sel.copy()
-    bank._incumbent = sel
+    bank.incumbent = sel
     bank.last_diagnostics = diags
     return u_k, bank.entries[sel][0], J
 

@@ -121,7 +121,8 @@ def _zero_disturbance(cfg: PlantConfig):
 
 def _step_count(duration: float, ts: float) -> int:
     """Instants in a run; ConfigError unless duration is a positive multiple of ts."""
-    n = int(round(duration / ts))
+    ratio = duration / ts
+    n = int(round(ratio)) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * ts - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ConfigError(f"duration {duration} is not a positive multiple of ts {ts}")
     return n
@@ -199,8 +200,7 @@ def run_closed_loop(
             if sel is None:
                 diag = _held(first.cfg.P * p, "every bank controller failed")
             else:
-                pos = [mid for mid, _ in controller.entries].index(sel)
-                diag = controller.last_diagnostics[pos]
+                diag = controller.last_diagnostics[controller.incumbent]
             mid = sel if sel is not None else controller.entries[0][0]
         else:
             prev_dev = controller.u_prev.copy()

@@ -11,7 +11,6 @@ length: it repeats with period 2^n - 1 and contains 2^(n-1) ones and
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -105,14 +104,6 @@ def _lfsr_cycle(n: int, taps: Sequence[int], seed: int) -> np.ndarray:
         if state == seed:
             return np.array(out, dtype=np.int8)
     return np.zeros(0, dtype=np.int8)
-
-
-def measure_period(n: int, taps: Sequence[int], seed: int) -> int:
-    """Length of the register state cycle containing `seed`.
-
-    Returns 0 if the register falls into the absorbing all-zero state.
-    """
-    return _lfsr_cycle(n, taps, seed).size
 
 
 def prbs_generate(spec: PrbsSpec) -> np.ndarray:
@@ -239,58 +230,3 @@ def save_csv(d: Dataset, path) -> None:
     else:
         names = [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
     _write_columns(path, ["t"] + names, [np.arange(d.N) * d.ts, *d.u.T, *d.y.T])
-
-
-def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv (or hand-authored in that layout).
-
-    The header must contain a 't' column plus channels prefixed 'u' / 'y'.
-    Row numbers in error messages count data rows from 1, so row k is line
-    k + 1 of the file.  Every value must be finite.
-    """
-    reader = csv.reader(io.StringIO(_read_text(path)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty file, missing header") from None
-    header = [h.strip() for h in header]
-    if "t" not in header:
-        raise ConfigError(f"{path}: header lacks a 't' column: {header}")
-    t_idx = header.index("t")
-    u_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("u")]
-    y_idx = [i for i, h in enumerate(header) if i != t_idx and h.startswith("y")]
-    if not u_idx or not y_idx:
-        raise ConfigError(
-            f"{path}: header must name u-prefixed and y-prefixed columns, got {header}"
-        )
-    ncol = len(header)
-    t_vals, u_rows, y_rows = [], [], []
-    for rownum, row in enumerate(reader, start=1):
-        if len(row) != ncol:
-            raise ConfigError(
-                f"{path}: row {rownum} has {len(row)} fields, expected {ncol}"
-            )
-        try:
-            vals = [float(v) for v in row]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: row {rownum}: {exc}") from None
-        if not all(np.isfinite(vals)):
-            raise ConfigError(f"{path}: row {rownum}: non-finite value in {row}")
-        t_vals.append(vals[t_idx])
-        u_rows.append([vals[i] for i in u_idx])
-        y_rows.append([vals[i] for i in y_idx])
-    if len(t_vals) < 2:
-        raise ConfigError(f"{path}: need at least 2 data rows to infer the sampling interval")
-    t = np.asarray(t_vals)
-    ts = t[1] - t[0]
-    if not ts > 0:
-        raise ConfigError(f"{path}: t column must be strictly increasing from row 1")
-    scale = max(abs(ts), 1e-30)
-    for k in range(1, len(t)):
-        if abs((t[k] - t[k - 1]) - ts) > 1e-9 * scale:
-            raise ConfigError(
-                f"{path}: non-uniform t spacing at row {k + 1}: "
-                f"step {t[k] - t[k - 1]!r} vs {ts!r}"
-            )
-    names = [header[i] for i in u_idx] + [header[i] for i in y_idx]
-    return Dataset(np.asarray(u_rows), np.asarray(y_rows), float(ts), names)

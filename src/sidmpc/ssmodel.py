@@ -308,7 +308,8 @@ def load_model(path) -> StateSpaceModel:
     """Read a file written by save_model.
 
     Malformed content raises ConfigError naming the file and the line,
-    counting every line of the file from 1.
+    counting every line of the file from 1, or naming the file when the
+    matrices are too large to form the predictor A - K C.
     """
     text = _read_text(path).splitlines()
     lines = iter([(num, ln.split()) for num, ln in enumerate(text, start=1) if ln.strip()])
@@ -340,6 +341,10 @@ def load_model(path) -> StateSpaceModel:
     mats = []
     for name, nr, nc in (("A", n, n), ("B", n, m), ("C", p, n), ("D", p, m), ("K", n, p)):
         values(f"matrix {name}", name, 0)
-        mats.append([values(f"a row of {nc} finite numbers of matrix {name}", None, nc)
-                     for _ in range(nr)])
+        mats.append(np.array([values(f"a row of {nc} finite numbers of matrix {name}",
+                                     None, nc) for _ in range(nr)]))
+    A, B, C, D, K = mats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(A - K @ C).all():
+            raise ConfigError(f"{path}: A - K C overflows; the entries are too large")
     return StateSpaceModel(*mats, ts)

@@ -184,14 +184,16 @@ def aic_scores(residual_covariances, n_params, N: int):
     return scores, skipped
 
 
-def aic_order_select(residual_covariances, n_params, N: int) -> int:
-    """Order with the smallest AIC; ties break toward the smaller order."""
-    scores, skipped = aic_scores(residual_covariances, n_params, N)
+def aic_order_select(scores, skipped=()) -> int:
+    """Order with the smallest AIC; ties break toward the smaller order.
+
+    Takes the scores and skip list that aic_scores returns.
+    """
     if not scores:
         raise NumericalError(
-            f"all candidate orders had singular residual covariance: {skipped}"
+            f"all candidate orders had singular residual covariance: {list(skipped)}"
         )
-    return min(sorted(scores), key=lambda n: (scores[n], n))
+    return min(scores, key=lambda n: (scores[n], n))
 
 
 def _recover_order(n, U_, S, P, u, y, p_past):
@@ -303,8 +305,8 @@ def estimate_n4sid(
 
     chosen, scores_vec = candidates[0], None
     if by_aic:
-        chosen = aic_order_select(covs, kparams, d.N)
-        scores, _ = aic_scores(covs, kparams, d.N)
+        scores, skipped = aic_scores(covs, kparams, d.N)
+        chosen = aic_order_select(scores, skipped)
         scores_vec = np.array([scores.get(nn, np.nan) for nn in candidates])
 
     model = models[chosen]

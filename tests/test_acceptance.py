@@ -111,7 +111,6 @@ def run_config_pair(path, seed=None):
 
     bank = ModelBank([(mid, MpcController(models[mid], exp.controller))
                       for mid in exp.bank_ids],
-                     sync_mode=exp.sync_mode,
                      switch_threshold=exp.switch_threshold)
     res_multi = run_closed_loop(
         plant, bank, exp.run.duration, setpoints=exp.run.setpoints,

@@ -10,7 +10,6 @@ from sidmpc.cli import excitation_record, main
 from sidmpc.config import load_experiment_config, resolve_output_dir
 from sidmpc.errors import ConfigError
 from sidmpc.mpc import MpcConfig
-from sidmpc.signals import load_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,7 +97,6 @@ def test_load_full_config(tmp_path, rooted):
     assert exp.id_configs["a"].order == 2
     assert exp.controller.P == 15 and exp.controller.M == 5
     assert exp.single_model is None
-    assert exp.sync_mode == "kalman-only"
     assert exp.switch_threshold == 0.0
     assert exp.bank_ids == ["a", "b"]
     assert exp.run.duration == 10.0
@@ -239,6 +237,20 @@ def test_identify_writes_artifacts(tmp_path, rooted, capsys):
                   "report_a.txt", "report_b.txt", "config.ini", "meta.json"):
         assert (ident / fname).exists()
     assert (ident / "config.ini").read_text() == path.read_text()
+
+
+def test_meta_records_numpy_blas_and_thread_settings(tmp_path, rooted, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run_cli("identify", str(write_ini(tmp_path))) == 0
+    meta = json.loads((rooted / "runs/exp/ident/meta.json").read_text())
+    assert meta["command"] == "identify"
+    assert meta["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert meta["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert meta["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                               "MKL_NUM_THREADS": None}
 
 
 def test_control_without_models_exits_3(tmp_path, rooted, capsys):
@@ -386,7 +398,13 @@ def test_non_finite_ini_number_exits_1(tmp_path, rooted, capsys, old, new, key):
     ("duration = 120", "duration = 120.2", "[run] duration"),
     ("split_fraction = 0.7", "split_fraction = 2", "[identification] split_fraction"),
     ("amplitude = 2.0 2.0", "amplitude = 0 2", "[excitation] amplitude"),
-], ids=["duration-negative", "duration-off-grid", "split-fraction", "amplitude-zero"])
+    ("bank = default asym", "sync_mode = state-copy\nbank = default asym",
+     "[multimodel] sync_mode"),
+    ("duration = 120", "duration = 1e308", "[run] duration"),
+    ("seed = 0", "seed = -5", "[run] seed"),
+    ("preset = default-fccu", "preset = 5%", "[plant] unknown preset '5%'"),
+], ids=["duration-negative", "duration-off-grid", "split-fraction", "amplitude-zero",
+        "sync-mode-state-copy", "duration-overflow", "seed-negative", "percent-sign"])
 def test_loader_refuses_before_the_plant_runs(tmp_path, rooted, capsys, old, new, key):
     path = _tracking_ini(tmp_path, old, new)
     assert run_cli("control", str(path), "--identify", "--mode", "single") == 1
@@ -400,7 +418,6 @@ def _identified_files(tmp_path, rooted):
     run_cli("control", str(path), "--identify", "--mode", "single")
     run = rooted / "runs/exp"
     return {"config": path, "model": run / "ident/model_a.txt",
-            "dataset": run / "ident/dataset.csv",
             "trajectory": run / "control-single/trajectory.csv",
             "summary": run / "control-single/summary.json"}
 
@@ -420,14 +437,6 @@ def test_undecodable_byte_exits_1(tmp_path, rooted, capsys, which, argv):
     assert run_cli(*(a.format(config=files["config"], run=run_dir) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(bad) in err
-
-
-def test_load_csv_refuses_an_undecodable_byte(tmp_path, rooted):
-    dataset = _identified_files(tmp_path, rooted)["dataset"]
-    assert load_csv(dataset).N == 900
-    dataset.write_bytes(dataset.read_bytes() + b"\xff")
-    with pytest.raises(ConfigError, match=str(dataset)):
-        load_csv(dataset)
 
 
 def test_compare_missing_dir_exits_3(tmp_path, rooted, capsys):

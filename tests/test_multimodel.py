@@ -1,13 +1,17 @@
 """Tests for the supervisory controller bank and its selection rule."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sidmpc.config import load_experiment_config
 from sidmpc.errors import ConfigError, NumericalError
 from sidmpc.mpc import MpcConfig, MpcController
 from sidmpc.multimodel import ModelBank, mm_control_step
 from sidmpc.ssmodel import KalmanState, StateSpaceModel, kalman_step, solve_dare
 
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fccu-tracking.ini"
 WIDE = dict(y_min=[-1e6], y_max=[1e6])
 
 
@@ -16,13 +20,6 @@ def scalar_model(a, b, c=1.0, d=0.0):
     C = np.array([[c]])
     P, K = solve_dare(A, C, 0.1 * np.eye(1), np.eye(1))
     return StateSpaceModel(A, np.array([[b]]), C, np.array([[d]]), K)
-
-
-def order2_model(b0=1.0):
-    A = np.array([[0.6, 0.1], [0.0, 0.5]])
-    C = np.array([[1.0, 0.2]])
-    P, K = solve_dare(A, C, 0.1 * np.eye(2), np.eye(1))
-    return StateSpaceModel(A, np.array([[b0], [0.3]]), C, np.zeros((1, 1)), K)
 
 
 def loop_cfg(**overrides):
@@ -167,39 +164,6 @@ def test_kalman_only_keeps_distinct_states():
     assert not np.array_equal(x1, x2)
 
 
-def test_state_copy_aligns_loser_with_winner():
-    bank = ModelBank([("one", make_ctrl(scalar_model(0.9, 1.0))),
-                      ("two", make_ctrl(scalar_model(0.7, 0.5)))],
-                     sync_mode="state-copy")
-    x = np.zeros(1)
-    for k in range(12):
-        u, sel, _ = mm_control_step(bank, x.copy(), [1.0])
-        x = 0.9 * x + u
-        x1 = bank.entries[0][1].estimator.xhat
-        x2 = bank.entries[1][1].estimator.xhat
-        assert np.array_equal(x1, x2)
-
-
-def test_state_copy_with_identical_models_matches_single():
-    cfg = loop_cfg()
-    single = make_ctrl(scalar_model(0.9, 1.0), cfg)
-    bank = ModelBank([("a", make_ctrl(scalar_model(0.9, 1.0), cfg)),
-                      ("b", make_ctrl(scalar_model(0.9, 1.0), cfg))],
-                     sync_mode="state-copy")
-    for k in range(20):
-        y = [0.1 * k]
-        u_b, _, _ = mm_control_step(bank, y, [2.0])
-        u_s, _ = single.control_step(y, [2.0])
-        assert np.array_equal(u_b, u_s)
-
-
-def test_state_copy_rejects_mixed_orders():
-    with pytest.raises(ConfigError, match="equal model orders"):
-        ModelBank([("s", make_ctrl(scalar_model(0.9, 1.0))),
-                   ("d", make_ctrl(order2_model()))],
-                  sync_mode="state-copy")
-
-
 # ---------------------------------------------------------------------------
 # hysteresis
 
@@ -284,9 +248,18 @@ def test_empty_bank_rejected():
         ModelBank([])
 
 
-def test_bad_sync_mode_rejected():
-    with pytest.raises(ConfigError, match="sync_mode"):
-        ModelBank([("a", make_ctrl(scalar_model(0.9, 1.0)))], sync_mode="mirror")
+def test_bad_sync_mode_rejected(tmp_path):
+    # members never share states; the loader keeps accepting the one mode
+    # older configs name and refuses any other instead of ignoring it
+    text = CONFIG.read_text().replace("bank = default asym",
+                                      "sync_mode = {}\nbank = default asym")
+    path = tmp_path / "bank.ini"
+    path.write_text(text.format("kalman-only"))
+    assert load_experiment_config(path).bank_ids == ["default", "asym"]
+    for mode in ("state-copy", "mirror"):
+        path.write_text(text.format(mode))
+        with pytest.raises(ConfigError, match=r"\[multimodel\] sync_mode = '" + mode):
+            load_experiment_config(path)
 
 
 def test_duplicate_ids_rejected():

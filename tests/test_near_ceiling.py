@@ -78,3 +78,30 @@ def test_near_ceiling_steps_solve_exactly_within_budget(setup, mode, monkeypatch
     assert sum(1 for s in solves if s[-1]) >= 80 * per_instant
     assert max(worst) <= KKT_TOL, \
         f"{sum(w > KKT_TOL for w in worst)} solves fail KKT, worst {max(worst):.3g}"
+
+
+def test_soft_fallback_budget_scales_with_its_size(setup, monkeypatch):
+    # at 25 working-set changes some hard solves run out of budget and the
+    # loop falls back to the softened problem (DU plus one slack per output
+    # row, 300 variables against 100); its budget scales to 75, enough for
+    # every fallback, so no input is held
+    exp, models, cfg = setup
+    soft_solves = []
+    real = mpc.solve_qp
+
+    def recorded(qp, **kwargs):
+        out = real(qp, **kwargs)
+        if qp.d > cfg.M * exp.plant.m:
+            soft_solves.append((qp.H, qp.f.copy(), qp.A_ineq, qp.b_ineq.copy(),
+                                out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(mpc, "solve_qp", recorded)
+    ctrl = MpcController(models["default"], cfg, qp_max_iter=25)
+    res = run_closed_loop(exp.plant, ctrl, 500.0, setpoints=SCHEDULE, seed=NOISE_SEED)
+
+    assert res.fallback.any() and not res.fallback_failed.any()
+    assert len(soft_solves) == int(res.fallback.sum())
+    worst = [kkt_violation(*s) for s in soft_solves]
+    assert max(worst) <= KKT_TOL, \
+        f"{sum(w > KKT_TOL for w in worst)} soft solves fail KKT, worst {max(worst):.3g}"

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidmpc.cli import excitation_record
+import sidmpc.subspace as subspace
+from sidmpc.cli import _write_report, excitation_record
 from sidmpc.config import load_experiment_config
 from sidmpc.errors import ConfigError, NumericalError
 from sidmpc.runner import run_open_loop
@@ -20,6 +21,7 @@ from sidmpc.subspace import (
     N4sidConfig,
     _residual_covariance,
     aic_order_select,
+    aic_scores,
     block_hankel,
     estimate_n4sid,
     project_hfp,
@@ -192,21 +194,30 @@ def test_residual_covariance_recovers_generating_innovations():
     np.testing.assert_allclose(cov, E[b:].T @ E[b:] / (N - b), rtol=0, atol=1e-10)
 
 
+def test_aic_smallest_score_wins():
+    assert aic_order_select({2: -5.0, 3: -7.5, 4: -6.0}) == 3
+    cov = {1: np.eye(2), 2: 0.5 * np.eye(2)}
+    assert aic_order_select(*aic_scores(cov, {1: 5, 2: 10}, 100)) == 2
+
+
 def test_aic_tie_breaks_to_smaller_order():
     cov = {2: np.eye(2), 3: np.eye(2)}
     k = {2: 10, 3: 10}
-    assert aic_order_select(cov, k, 100) == 2
+    assert aic_order_select(*aic_scores(cov, k, 100)) == 2
+    assert aic_order_select({4: 1.0, 3: 1.0, 5: 1.0}) == 3
 
 
 def test_aic_singleton():
-    assert aic_order_select({3: np.eye(2) * 0.5}, {3: 12}, 50) == 3
+    assert aic_order_select(*aic_scores({3: np.eye(2) * 0.5}, {3: 12}, 50)) == 3
 
 
 def test_aic_singular_candidate_skipped():
     cov = {1: np.zeros((2, 2)), 2: np.eye(2)}
-    assert aic_order_select(cov, {1: 5, 2: 10}, 100) == 2
-    with pytest.raises(NumericalError, match="singular"):
-        aic_order_select({1: np.zeros((2, 2))}, {1: 5}, 100)
+    scores, skipped = aic_scores(cov, {1: 5, 2: 10}, 100)
+    assert list(scores) == [2] and skipped == [1]
+    assert aic_order_select(scores, skipped) == 2
+    with pytest.raises(NumericalError, match=r"singular residual covariance: \[1\]"):
+        aic_order_select(*aic_scores({1: np.zeros((2, 2))}, {1: 5}, 100))
 
 
 def test_shift_invariance_residual_noise_free():
@@ -365,3 +376,35 @@ def test_estimate_factors_hankel_data_once(monkeypatch):
                             cfg.n_max + train.m + train.p)
         qr = [shapes for name, shapes in calls if name == "qr"]
         assert qr == [[(n_cols, (train.m + train.p) * (cfg.p + cfg.f))]]
+
+
+# the aic_scores line of report_default.txt from the shipped tracking config,
+# as identify wrote it at one BLAS thread when each estimate still computed
+# the scores twice; two threads move it by about 1e-15 relative
+TRACKING_AIC = {2: -9699.802675547655, 3: -9667.704024155162,
+                4: -9693.078356655513, 5: -9675.424592244854}
+
+
+def test_aic_scored_once_per_estimate(monkeypatch, tmp_path):
+    exp, train = shipped_tracking_train()
+    calls = []
+    real = subspace.aic_scores
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subspace, "aic_scores", counted)
+    for mid, cfg in exp.id_configs.items():
+        calls.clear()
+        rep = estimate_n4sid(train, cfg)
+        assert len(calls) == (1 if cfg.order is None else 0), mid
+    rep = estimate_n4sid(train, exp.id_configs["default"])
+    _write_report(tmp_path / "report.txt", "default", rep)
+    line, = [ln for ln in (tmp_path / "report.txt").read_text().splitlines()
+             if ln.startswith("aic_scores ")]
+    scores = dict(item.split(":") for item in line.split()[1:])
+    assert [int(n) for n in scores] == list(TRACKING_AIC)
+    np.testing.assert_allclose([float(v) for v in scores.values()],
+                               list(TRACKING_AIC.values()), rtol=1e-9, atol=0)
+    assert rep.chosen_order == min(TRACKING_AIC, key=TRACKING_AIC.get)
