@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -225,10 +226,17 @@ def _read_trajectory(run_dir: Path):
         _require(len(row) == len(header),
                  f"{where}: {len(row)} fields, the header has {len(header)}")
         for name, v in zip(header, row):
+            if name == "model_id":
+                out[name].append(v)
+                continue
             try:
-                out[name].append(v if name == "model_id" else float(v))
+                value = float(v)
             except ValueError:
                 raise ConfigError(f"{where}: {name} = {v!r} is not a number") from None
+            # J is nan on the instants whose input was held
+            _require(math.isfinite(value) or (name == "J" and math.isnan(value)),
+                     f"{where}: {name} = {v!r} is not finite")
+            out[name].append(value)
     out = {name: v if name == "model_id" else np.array(v) for name, v in out.items()}
     sp = run_dir / "summary.json"
     try:

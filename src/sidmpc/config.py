@@ -15,7 +15,8 @@ Sections:
   [output]          run directory (re-rooted by SIDMPC_OUTPUT_ROOT if set)
 
 Schedules are multi-line values, one row per line: a time in seconds
-followed by one value per channel.
+followed by one value per channel.  A section or key missing from
+SECTION_KEYS is refused, so a misspelled name cannot drop a setting.
 """
 
 from __future__ import annotations
@@ -99,6 +100,25 @@ def _ints(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split())
 
 
+# the [plant] keys that override the preset, with their parsers
+PLANT_OVERRIDES = {"noise_std": _floats, "blend_sharpness": _float,
+                   "disturbance_entry": str, "disturbance_gain": _floats}
+
+# the keys each section accepts; every [identification.<id>] shares one entry
+SECTION_KEYS = {
+    "plant": {"preset", *PLANT_OVERRIDES},
+    "excitation": {"register_length", "total_length", "amplitude", "clock_period",
+                   "seed", "taps"},
+    "identification": {"split_fraction", "models"},
+    "identification.<id>": {"f", "p", "order", "order_min", "order_max"},
+    "controller": {"prediction_horizon", "control_horizon", "q_weights", "r_weights",
+                   "y_min", "y_max", "u_min", "u_max", "du_max", "single_model"},
+    "multimodel": {"sync_mode", "switch_threshold", "bank"},
+    "run": {"duration", "seed", "setpoints", "disturbances"},
+    "output": {"directory"},
+}
+
+
 def load_experiment_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
@@ -151,6 +171,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     out = _section(cp, "output")
     directory = _get(out, "directory", str)
     output_dir = resolve_output_dir(directory)
+    _refuse_unknown_names(cp)
 
     return ExperimentConfig(
         plant=plant,
@@ -167,6 +188,19 @@ def load_experiment_config(path) -> ExperimentConfig:
     )
 
 
+def _refuse_unknown_names(cp) -> None:
+    # a [DEFAULT] key would otherwise show up in, and be blamed on, every section
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
+    for name in cp.sections():
+        kind = "identification.<id>" if name.startswith("identification.") else name
+        if kind not in SECTION_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in cp[name]:
+            if key not in SECTION_KEYS[kind]:
+                raise ConfigError(f"[{name}] {key} is not a key of this section")
+
+
 def resolve_output_dir(directory: str) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     d = Path(directory)
@@ -181,9 +215,8 @@ def _build_plant(cp) -> PlantConfig:
     if preset != "default-fccu":
         raise ConfigError(f"[plant] unknown preset {preset!r}; "
                           "only 'default-fccu' is available")
-    casts = {"noise_std": _floats, "blend_sharpness": _float,
-             "disturbance_entry": str, "disturbance_gain": _floats}
-    overrides = {key: _get(sec, key, cast) for key, cast in casts.items() if key in sec}
+    overrides = {key: _get(sec, key, cast) for key, cast in PLANT_OVERRIDES.items()
+                 if key in sec}
     try:
         return dataclasses.replace(make_default_fccu(), **overrides)
     except ConfigError as exc:

@@ -9,7 +9,8 @@ Timing convention for one closed-loop instant at time t:
   measure y(t) -> controller computes u(t) -> plant advances to t + ts
 under u(t) and the disturbance value at t + ts, producing y(t + ts).
 A disturbance step scheduled at 84 s therefore first affects the sample
-stamped 84 s.
+stamped 84 s.  Disturbance schedules act in closed-loop runs only; the
+open loop drives the undisturbed plant.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .plant import PlantConfig, make_state, plant_output, plant_step
 from .signals import Dataset
 
 VIOLATION_TOL = 1e-6
+MAX_INSTANTS = 10**7
 
 
 @dataclass
@@ -83,9 +85,8 @@ def parse_schedule(text: str, width: int, name: str) -> Optional[Schedule]:
 
 
 def run_open_loop(plant_cfg: PlantConfig, U_abs: np.ndarray,
-                  seed: Optional[int] = None,
-                  disturbances: Optional[Schedule] = None) -> Dataset:
-    """Drive the plant with a fixed input record, collect the measurements.
+                  seed: Optional[int] = None) -> Dataset:
+    """Drive the undisturbed plant with a fixed input record, collect the measurements.
 
     Sample k pairs the input applied over [k ts, (k+1) ts) with the
     measurement taken at k ts, so y[k] reflects inputs up to u[k-1].
@@ -100,31 +101,20 @@ def run_open_loop(plant_cfg: PlantConfig, U_abs: np.ndarray,
     state = make_state(plant_cfg, seed)
     N = U_abs.shape[0]
     Y = np.empty((N, plant_cfg.p))
-    d0 = None
-    if disturbances is not None:
-        d0 = disturbances.value_at(0.0, _zero_disturbance(plant_cfg))
-    Y[0] = plant_output(state, U_abs[0], d0)
+    Y[0] = plant_output(state, U_abs[0])
     for k in range(N - 1):
-        d = None
-        if disturbances is not None:
-            d = disturbances.value_at(state.t + plant_cfg.ts,
-                                      _zero_disturbance(plant_cfg))
-        state, Y[k + 1] = plant_step(state, U_abs[k], d)
+        state, Y[k + 1] = plant_step(state, U_abs[k])
     return Dataset(U_abs.copy(), Y, plant_cfg.ts)
 
 
-def _zero_disturbance(cfg: PlantConfig):
-    if cfg.disturbance_gain is None:
-        return None
-    return np.zeros(cfg.disturbance_gain.shape[1])
-
-
 def _step_count(duration: float, ts: float) -> int:
-    """Instants in a run; ConfigError unless duration is a positive multiple of ts."""
+    """Instants in a run; ConfigError unless duration is ts times 1..MAX_INSTANTS."""
     ratio = duration / ts
     n = int(round(ratio)) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * ts - duration) > 1e-9 * max(1.0, abs(duration)):
         raise ConfigError(f"duration {duration} is not a positive multiple of ts {ts}")
+    if n > MAX_INSTANTS:
+        raise ConfigError(f"duration {duration} exceeds {MAX_INSTANTS} instants of ts {ts}")
     return n
 
 
@@ -173,8 +163,9 @@ def run_closed_loop(
     y_hi_abs = first.cfg.y_max + y_ss
 
     state = make_state(plant_cfg, seed)
-    d0 = None if disturbances is None else \
-        disturbances.value_at(0.0, _zero_disturbance(plant_cfg))
+    d_zero = None if plant_cfg.disturbance_gain is None else \
+        np.zeros(plant_cfg.disturbance_gain.shape[1])
+    d0 = None if disturbances is None else disturbances.value_at(0.0, d_zero)
     y_abs = plant_output(state, u_ss, d0)
 
     t = np.arange(n_steps) * ts
@@ -230,9 +221,7 @@ def run_closed_loop(
         FB[k] = bool(diag.get("fallback", False))
         FBF[k] = bool(diag.get("fallback_failed", False))
 
-        d = None
-        if disturbances is not None:
-            d = disturbances.value_at(tk + ts, _zero_disturbance(plant_cfg))
+        d = None if disturbances is None else disturbances.value_at(tk + ts, d_zero)
         state, y_abs = plant_step(state, U[k], d)
 
     return RunResult(

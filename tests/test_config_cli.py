@@ -347,9 +347,18 @@ def _non_numeric(text):
     return "".join(lines), "line 6: r1 = 'x"
 
 
+def _non_finite(text):
+    lines = text.splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[3] = "nan"   # y1
+    lines[5] = ",".join(cells)
+    return "".join(lines), "line 6: y1 = 'nan' is not finite"
+
+
 @pytest.mark.parametrize("fname, corrupt", [
     ("trajectory.csv", _short_row),
     ("trajectory.csv", _non_numeric),
+    ("trajectory.csv", _non_finite),
     ("trajectory.csv", lambda text: (text.replace("y1", "z1", 1), "line 1: lacks one of")),
     ("summary.json", lambda text: (text[:-20], "summary.json line")),
 ])
@@ -368,6 +377,19 @@ def test_compare_malformed_run_exits_1(tmp_path, rooted, capsys, fname, corrupt)
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(bad / fname) in err
     assert message in err
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_accepts_nan_cost_of_a_held_instant(tmp_path, rooted):
+    path = write_ini(tmp_path)
+    run_cli("control", str(path), "--identify", "--mode", "single")
+    run = rooted / "runs/exp/control-single"
+    lines = (run / "trajectory.csv").read_text().splitlines(keepends=True)
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("J")] = "nan"
+    lines[5] = ",".join(cells)
+    (run / "trajectory.csv").write_text("".join(lines))
+    assert run_cli("compare", str(run), str(run), "--out", str(tmp_path / "cmp")) == 0
 
 
 def _tracking_ini(tmp_path, old, new):
@@ -401,10 +423,15 @@ def test_non_finite_ini_number_exits_1(tmp_path, rooted, capsys, old, new, key):
     ("bank = default asym", "sync_mode = state-copy\nbank = default asym",
      "[multimodel] sync_mode"),
     ("duration = 120", "duration = 1e308", "[run] duration"),
+    ("duration = 120", "duration = 1e300", "[run] duration 1e+300 exceeds 10000000 instants"),
     ("seed = 0", "seed = -5", "[run] seed"),
     ("preset = default-fccu", "preset = 5%", "[plant] unknown preset '5%'"),
+    ("du_max = 2 2", "du_mx = 2 2", "[controller] du_mx is not a key"),
+    ("[multimodel]", "[multimodle]", "unknown section [multimodle]"),
+    ("[plant]", "[DEFAULT]\nseed = 3\n\n[plant]", "unknown section [DEFAULT]"),
 ], ids=["duration-negative", "duration-off-grid", "split-fraction", "amplitude-zero",
-        "sync-mode-state-copy", "duration-overflow", "seed-negative", "percent-sign"])
+        "sync-mode-state-copy", "duration-overflow", "duration-too-long", "seed-negative",
+        "percent-sign", "key-typo", "section-typo", "default-section"])
 def test_loader_refuses_before_the_plant_runs(tmp_path, rooted, capsys, old, new, key):
     path = _tracking_ini(tmp_path, old, new)
     assert run_cli("control", str(path), "--identify", "--mode", "single") == 1

@@ -253,13 +253,19 @@ def test_wrong_input_length():
         plant_step(state, [50.0])
 
 
-def test_divergence_guard():
+@pytest.mark.parametrize("entry", [1e10, np.nan, np.inf], ids=["1e10", "nan", "inf"])
+def test_divergence_guard(entry):
     cfg = make_default_fccu()
     state = make_state(cfg, seed=None)
-    state.x = np.array([0.0, 1e10, 0.0])
-    with pytest.raises(DivergenceError, match="diverged") as exc:
+    state.x = np.array([0.0, entry, 0.0])
+    x_before = state.x.copy()
+    # an inf state makes NumPy warn of inf * 0 on the way to the guard
+    with pytest.raises(DivergenceError, match="diverged") as exc, \
+            np.errstate(invalid="ignore"):
         plant_step(state, cfg.u_ss)
     assert exc.value.t == pytest.approx(0.5)
+    assert np.array_equal(state.x, x_before, equal_nan=True)
+    assert state.t == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Tests for schedules, the open/closed-loop engine, and run metrics."""
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sidmpc.cli import excitation_record
+from sidmpc.config import load_experiment_config
 from sidmpc.errors import ConfigError
 from sidmpc.mpc import MpcConfig, MpcController
 from sidmpc.multimodel import ModelBank
@@ -11,6 +16,8 @@ from sidmpc.runner import (RunResult, Schedule, count_violations, iae,
                            parse_schedule, run_closed_loop, run_open_loop,
                            step_metrics, summarize)
 from sidmpc.ssmodel import StateSpaceModel, solve_dare
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def half_blend_model(plant_cfg):
@@ -126,17 +133,15 @@ def test_open_loop_seeded_noise_reproducible():
     assert not np.array_equal(d1.y, d3.y)
 
 
-def test_open_loop_disturbance_sample_alignment():
-    cfg = make_default_fccu()  # ts = 0.5, output-side disturbance
-    U = np.tile(cfg.u_ss, (6, 1))
-    sched = Schedule([(1.0, [2.0])])
-    data = run_open_loop(cfg, U, disturbances=sched)
-    assert np.array_equal(data.y[0], cfg.y_ss)
-    assert np.array_equal(data.y[1], cfg.y_ss)
-    s = cfg.nonlin_scale
-    expected = cfg.y_ss + s * np.tanh((cfg.disturbance_gain @ [2.0]) / s)
-    # the step scheduled at 1.0 s first affects the sample stamped 1.0 s
-    assert np.allclose(data.y[2], expected, atol=1e-12)
+@pytest.mark.parametrize("seed", [0, 2])
+def test_open_loop_noise_is_one_standard_normal_stream(seed):
+    # y = noise-free y + one block draw of the same seeded stream
+    exp = load_experiment_config(CONFIG_DIR / "fccu-tracking.ini")
+    U = excitation_record(exp)
+    noisy = run_open_loop(exp.plant, U, seed=seed).y
+    clean = run_open_loop(dataclasses.replace(exp.plant, noise_std=None), U).y
+    noise = np.random.default_rng(seed).normal(0.0, exp.plant.noise_std, size=clean.shape)
+    assert np.array_equal(noisy, clean + noise)
 
 
 # ---------------------------------------------------------------------------
