@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_experiment_config
-from .errors import ConfigError, NumericalError, SidmpcError
+from .errors import ConfigError, SidmpcError
 from .mpc import MpcController
 from .multimodel import ModelBank
 from .runner import RunResult, run_closed_loop, run_open_loop, summarize
@@ -369,8 +369,7 @@ def cmd_prbs_preview(config_path, out=None) -> int:
         print(f"channel {j + 1}: levels {values.min():+g}/{values.max():+g}, "
               f"{hi} high / {lo} low samples, {switches} switches")
     if out is not None:
-        d = Dataset(U, np.zeros((U.shape[0], 1)), exp.plant.ts,
-                    channel_names=[f"u{j + 1}" for j in range(U.shape[1])] + ["y1"])
+        d = Dataset(U, np.zeros((U.shape[0], 1)), exp.plant.ts)
         save_csv(d, out)
         print(f"preview written to {out}")
     return 0
@@ -414,14 +413,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except SidmpcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # every package error but ConfigError is a NumericalError
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     return 0
 

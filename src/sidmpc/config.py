@@ -34,11 +34,14 @@ import numpy as np
 from .errors import ConfigError
 from .mpc import MpcConfig
 from .plant import PlantConfig, make_default_fccu
-from .runner import Schedule, _step_count, parse_schedule
+from .runner import MAX_INSTANTS, Schedule, _step_count, parse_schedule
 from .signals import PrbsSpec, _read_text
 from .subspace import N4sidConfig
 
 OUTPUT_ROOT_ENV = "SIDMPC_OUTPUT_ROOT"
+# largest prediction or control horizon, in steps: every controller matrix
+# grows with it (the shipped configs use 100 and 50)
+MAX_HORIZON = 500
 
 
 @dataclass
@@ -98,6 +101,16 @@ def _floats(raw: str, count: Optional[int] = None) -> np.ndarray:
 
 def _ints(raw: str) -> tuple:
     return tuple(int(v) for v in raw.split())
+
+
+def _int_at_most(limit: int):
+    """Parser of an integer no larger than limit, for keys that size arrays."""
+    def cast(raw: str) -> int:
+        v = int(raw)
+        if v > limit:
+            raise ValueError(f"exceeds {limit}")
+        return v
+    return cast
 
 
 # the [plant] keys that override the preset, with their parsers
@@ -237,7 +250,7 @@ def _build_excitation(cp, plant: PlantConfig) -> list:
         raise ConfigError(f"[excitation] amplitude = {amplitude.tolist()} must be positive")
     common = dict(
         register_length=n,
-        total_length=_get(sec, "total_length", int),
+        total_length=_get(sec, "total_length", _int_at_most(MAX_INSTANTS)),
         clock_period=_get(sec, "clock_period", int, required=False, default=1),
         seed=_get(sec, "seed", int, required=False, default=1),
         taps=_get(sec, "taps", _ints, required=False, default=None),
@@ -280,8 +293,8 @@ def _build_controller(cp, plant: PlantConfig) -> MpcConfig:
 
     try:
         return MpcConfig(
-            P=_get(sec, "prediction_horizon", int),
-            M=_get(sec, "control_horizon", int),
+            P=_get(sec, "prediction_horizon", _int_at_most(MAX_HORIZON)),
+            M=_get(sec, "control_horizon", _int_at_most(MAX_HORIZON)),
             Q_weights=vec("q_weights", p),
             R_weights=vec("r_weights", m),
             y_min=vec("y_min", p, plant.y_ss),

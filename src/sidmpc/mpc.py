@@ -13,6 +13,7 @@ and the tracking objective  sum_i |r - yhat|^2_Q + sum_j |du_j|^2_R  becomes
 a convex QP in DU.  Output bounds are hard by default; when they make the
 QP infeasible the step is re-solved with slack variables on the output
 bounds under a large quadratic penalty, and that engagement is flagged.
+An instant that still yields no move holds the previous input.
 
 A controller builds everything that does not change between instants once:
 Phi, Psi, Theta, H, the constraint matrix, the gradient map
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError
+from .errors import ConvergenceError, InfeasibleError, NumericalError
 from .qp import QpProblem, solve_qp
 from .ssmodel import KalmanState, StateSpaceModel, _observability_stack, kalman_step
 
@@ -149,7 +150,7 @@ class MpcController:
         self._grad = (2.0 * self.qbar[:, None] * self.Theta).T
         self._ymax = np.tile(cfg.y_max, cfg.P)
         self._ymin = np.tile(cfg.y_min, cfg.P)
-        self._held = np.full(cfg.P * p, np.nan)   # last held setpoint, tiled
+        self._ref_tiled = np.full(cfg.P * p, np.nan)   # last held setpoint, tiled
         self._free, self._err = np.empty((2, cfg.P * p))
 
     @staticmethod
@@ -182,9 +183,9 @@ class MpcController:
         ref = np.asarray(ref, dtype=float).reshape(-1)
         p, P_, M_ = self.model.p, self.cfg.P, self.cfg.M
         if ref.shape[0] == p:
-            if not (ref == self._held[:p]).all():
-                self._held = np.tile(ref, P_)
-            ref = self._held
+            if not (ref == self._ref_tiled[:p]).all():
+                self._ref_tiled = np.tile(ref, P_)
+            ref = self._ref_tiled
         elif ref.shape[0] != P_ * p:
             raise ValueError(f"ref must have length {p} or {P_ * p}, got {ref.shape[0]}")
         free, qp, ny = self._free, self._qp, P_ * p
@@ -238,25 +239,30 @@ class MpcController:
         return sol[:d], sol[d:], active
 
     def _step_core(self, y_k, ref):
-        """Estimator update plus one QP solve; does not commit u_prev."""
-        kalman_step(self.estimator, self.u_prev, y_k)
-        xhat = self.estimator.xhat
-        qp = self.assemble_qp(xhat, ref)
+        """Estimator update plus one QP solve; does not commit u_prev.
+
+        The one place a failed instant is decided: a measurement the
+        estimator refuses, non-finite QP data or a softened retry that is
+        infeasible or capped holds u_prev, with J and yhat nan,
+        fallback_failed set and the reason under "held".
+        """
         diag = {"fallback": False, "fallback_failed": False, "slack_max": 0.0}
         try:
-            dU, active, _ = solve_qp(qp, tol=self.qp_tol, max_iter=self.qp_max_iter)
-        except (InfeasibleError, ConvergenceError):
-            # a solve that hits its change cap is treated like infeasibility:
-            # soften and retry
-            diag["fallback"] = True
+            kalman_step(self.estimator, self.u_prev, y_k)
+            qp = self.assemble_qp(self.estimator.xhat, ref)
             try:
+                dU, active, _ = solve_qp(qp, tol=self.qp_tol, max_iter=self.qp_max_iter)
+            except (InfeasibleError, ConvergenceError):
+                # a solve that hits its change cap is treated like
+                # infeasibility: soften and retry
+                diag["fallback"] = True
                 dU, slack, active = self._solve_soft(qp)
                 diag["slack_max"] = float(np.max(slack, initial=0.0))
-            except (InfeasibleError, ConvergenceError) as exc:
-                diag["fallback_failed"] = True
-                diag["error"] = str(exc)
-                dU = np.zeros(self.cfg.M * self.model.m)
-                active = []
+        except NumericalError as exc:
+            diag.update(fallback_failed=True, held=f"controller failed: {exc}",
+                        J=np.nan, active=[], yhat=np.full(self._free.shape, np.nan),
+                        du=np.zeros(self.model.m))
+            return self.u_prev.copy(), diag
         m = self.model.m
         if self.cfg.du_max is not None:
             # solve_qp meets each row only to within its tolerance, so a move
@@ -268,7 +274,7 @@ class MpcController:
         diag["J"] = float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
         diag["active"] = active
         diag["yhat"] = yhat
-        diag["du"] = dU[: self.model.m].copy()
+        diag["du"] = dU[:m].copy()
         return u_k, diag
 
     def control_step(self, y_k, ref_trajectory):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .mpc import MpcController
 
 
@@ -48,8 +48,8 @@ class ModelBank:
         self.entries = entries
         self.switch_threshold = float(switch_threshold)
         self.last_diagnostics: list = []
-        # bank index of the last winner; its diagnostics are
-        # last_diagnostics[incumbent] after an instant with a winner
+        # bank index of the member whose move (or hold) was last applied;
+        # its diagnostics are last_diagnostics[incumbent]
         self.incumbent: "int | None" = None
 
 
@@ -72,33 +72,16 @@ def _same_loop_config(a, b) -> bool:
 def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
     """One supervisory instant: all controllers propose, the cheapest wins.
 
-    Returns (u_k, selected model_id, J_values in bank order).  Controllers
-    whose solve fails outright are excluded from the comparison for this
-    instant; if every one fails the previous input is held.
+    Returns (u_k, selected model_id, J_values in bank order).  A controller
+    that held its input enters J as inf, so it never wins over one that
+    solved; if every one held, the previous input stays and the id is None.
     """
-    proposals = []
-    J = np.full(len(bank.entries), np.inf)
-    diags = []
-    for i, (mid, ctrl) in enumerate(bank.entries):
-        try:
-            u_i, diag_i = ctrl._step_core(y_k, ref_trajectory)
-        except NumericalError as exc:
-            proposals.append(None)
-            diags.append({"error": str(exc), "J": np.inf})
-            continue
-        proposals.append(u_i)
-        diags.append(diag_i)
-        J[i] = diag_i["J"]
-
-    if not np.any(np.isfinite(J)):
-        u_k = bank.entries[0][1].u_prev.copy()
-        bank.last_diagnostics = diags
-        return u_k, None, J
-
+    proposals, diags = zip(*(ctrl._step_core(y_k, ref_trajectory)
+                             for _, ctrl in bank.entries))
+    J = np.array([np.inf if d["fallback_failed"] else d["J"] for d in diags])
     sel = int(np.argmin(J))  # exact ties resolve to the lowest bank index
     inc = bank.incumbent
     if (bank.switch_threshold > 0.0 and inc is not None and sel != inc
-            and np.isfinite(J[inc])
             and not J[sel] < J[inc] * (1.0 - bank.switch_threshold)):
         # optional hysteresis: the incumbent keeps the loop unless the
         # challenger is better by the configured relative margin
@@ -107,6 +90,5 @@ def mm_control_step(bank: ModelBank, y_k, ref_trajectory):
     for _, ctrl in bank.entries:
         ctrl.u_prev = u_k.copy()
     bank.incumbent = sel
-    bank.last_diagnostics = diags
-    return u_k, bank.entries[sel][0], J
-
+    bank.last_diagnostics = list(diags)
+    return u_k, bank.entries[sel][0] if np.isfinite(J[sel]) else None, J

@@ -9,7 +9,9 @@ deviations around the configured steady state, so the configured
 (u_ss, y_ss) pair is an exact equilibrium.
 
 `plant_output` measures the current state, `plant_step` the next one; both
-take the output map, output-side disturbance and seeded noise from `_measure`.
+form the input deviation (with any input-side disturbance) in
+`_deviation_input` and take the output map, output-side disturbance and
+seeded noise from `_measure`.
 
 Parameter values are artifact configuration chosen for plausible gains,
 time constants, and cross-coupling; they do not reproduce any published
@@ -148,8 +150,21 @@ def blend_weight(config: PlantConfig, x) -> float:
 
 def plant_output(state: PlantState, u, d=None) -> np.ndarray:
     """Measurement at the current state without advancing time."""
-    u_dev = np.asarray(u, dtype=float).reshape(-1) - state.config.u_ss
-    return _measure(state, u_dev, _as_disturbance(state.config, d))
+    return _measure(state, *_deviation_input(state.config, u, d))
+
+
+def _deviation_input(cfg: PlantConfig, u, d):
+    """(u_dev, d): u's deviation from u_ss, plus the input-side disturbance,
+    and d checked against the disturbance gain."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != cfg.m:
+        raise ConfigError(f"input has length {u.shape[0]}, plant expects {cfg.m}")
+    u_dev = u - cfg.u_ss
+    d = _as_disturbance(cfg, d)
+    if d is not None and cfg.disturbance_entry == "input" \
+            and cfg.disturbance_gain is not None:
+        u_dev = u_dev + cfg.disturbance_gain @ d
+    return u_dev, d
 
 
 def _measure(state: PlantState, u_dev, d) -> np.ndarray:
@@ -190,15 +205,7 @@ def plant_step(state: PlantState, u, d=None):
     this interval (and on the new measurement for output-side entry).
     """
     cfg = state.config
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != cfg.m:
-        raise ConfigError(f"input has length {u.shape[0]}, plant expects {cfg.m}")
-    u_dev = u - cfg.u_ss
-    d = _as_disturbance(cfg, d)
-    if d is not None and cfg.disturbance_entry == "input" \
-            and cfg.disturbance_gain is not None:
-        u_dev = u_dev + cfg.disturbance_gain @ d
-
+    u_dev, d = _deviation_input(cfg, u, d)
     w = blend_weight(cfg, state.x)
     x_next = (1.0 - w) * (cfg.a_low @ state.x + cfg.b_low @ u_dev) \
         + w * (cfg.a_high @ state.x + cfg.b_high @ u_dev)

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .mpc import MpcController
 from .multimodel import ModelBank, mm_control_step
 from .plant import PlantConfig, make_state, plant_output, plant_step
@@ -187,39 +187,29 @@ def run_closed_loop(
         y_dev = y_abs - y_ss
         if is_bank:
             prev_dev = controller.entries[0][1].u_prev.copy()
-            u_dev, sel, _ = mm_control_step(controller, y_dev, ref_dev)
-            if sel is None:
-                diag = _held(first.cfg.P * p, "every bank controller failed")
-            else:
-                diag = controller.last_diagnostics[controller.incumbent]
-            mid = sel if sel is not None else controller.entries[0][0]
+            u_dev, _, _ = mm_control_step(controller, y_dev, ref_dev)
+            diag = controller.last_diagnostics[controller.incumbent]
+            mid = controller.entries[controller.incumbent][0]
         else:
             prev_dev = controller.u_prev.copy()
-            try:
-                u_dev, diag = controller.control_step(y_dev, ref_dev)
-            except NumericalError as exc:
-                # the estimator refused the measurement (or the step failed
-                # outright); hold the input, as the bank does
-                u_dev, diag = prev_dev, _held(first.cfg.P * p, f"controller failed: {exc}")
+            u_dev, diag = controller.control_step(y_dev, ref_dev)
             mid = single_model_id
-        if diag.get("fallback"):
+        if diag["fallback"]:
             warnings_log.append(
                 f"t={tk:.6g}: output constraints softened "
-                f"(max slack {diag.get('slack_max', 0.0):.6g})"
+                f"(max slack {diag['slack_max']:.6g})"
             )
-        if diag.get("fallback_failed"):
-            warnings_log.append(
-                f"t={tk:.6g}: {diag.get('held', 'fallback failed')}; input held")
+        if diag["fallback_failed"]:
+            warnings_log.append(f"t={tk:.6g}: {diag['held']}; input held")
         R[k] = r_abs
         Y[k] = y_abs
         U[k] = u_ss + u_dev
         DU[k] = u_dev - prev_dev
-        J[k] = diag.get("J", np.nan)
+        J[k] = diag["J"]
         MID[k] = mid
-        yh = diag.get("yhat")
-        YH[k] = (yh[:p] + y_ss) if yh is not None else np.nan
-        FB[k] = bool(diag.get("fallback", False))
-        FBF[k] = bool(diag.get("fallback_failed", False))
+        YH[k] = diag["yhat"][:p] + y_ss
+        FB[k] = diag["fallback"]
+        FBF[k] = diag["fallback_failed"]
 
         d = None if disturbances is None else disturbances.value_at(tk + ts, d_zero)
         state, y_abs = plant_step(state, U[k], d)
@@ -231,12 +221,6 @@ def run_closed_loop(
         disturbance_time=None if disturbances is None else disturbances.first_time,
         warnings=warnings_log,
     )
-
-
-def _held(n_pred: int, reason: str) -> dict:
-    """Diagnostics of an instant whose previous input was held."""
-    return {"J": np.nan, "yhat": np.full(n_pred, np.nan), "fallback": False,
-            "fallback_failed": True, "held": reason}
 
 
 def iae(result: RunResult, t_start: Optional[float] = None,

@@ -134,7 +134,6 @@ class Dataset:
     u: np.ndarray  # N x m
     y: np.ndarray  # N x p
     ts: float
-    channel_names: Optional[list[str]] = None
 
     def __post_init__(self):
         # 1-D arrays are single-channel columns of N samples
@@ -170,12 +169,8 @@ class Dataset:
 
     def shifted(self, u_offset, y_offset) -> "Dataset":
         """Same record expressed as deviations from (u_offset, y_offset)."""
-        return Dataset(
-            self.u - np.asarray(u_offset, dtype=float),
-            self.y - np.asarray(y_offset, dtype=float),
-            self.ts,
-            self.channel_names,
-        )
+        return Dataset(self.u - np.asarray(u_offset, dtype=float),
+                       self.y - np.asarray(y_offset, dtype=float), self.ts)
 
 
 def split(d: Dataset, fraction: float) -> tuple[Dataset, Dataset]:
@@ -187,8 +182,8 @@ def split(d: Dataset, fraction: float) -> tuple[Dataset, Dataset]:
         raise ConfigError(
             f"split of {d.N} samples at fraction {fraction} leaves an empty part"
         )
-    train = Dataset(d.u[:n_train].copy(), d.y[:n_train].copy(), d.ts, d.channel_names)
-    valid = Dataset(d.u[n_train:].copy(), d.y[n_train:].copy(), d.ts, d.channel_names)
+    train = Dataset(d.u[:n_train].copy(), d.y[:n_train].copy(), d.ts)
+    valid = Dataset(d.u[n_train:].copy(), d.y[n_train:].copy(), d.ts)
     return train, valid
 
 
@@ -225,8 +220,5 @@ def _cells(column: np.ndarray) -> list:
 
 def save_csv(d: Dataset, path) -> None:
     """Write a dataset as t, u..., y... columns in full double precision."""
-    if d.channel_names is not None and len(d.channel_names) == d.m + d.p:
-        names = list(d.channel_names)
-    else:
-        names = [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
+    names = [f"u{i + 1}" for i in range(d.m)] + [f"y{i + 1}" for i in range(d.p)]
     _write_columns(path, ["t"] + names, [np.arange(d.N) * d.ts, *d.u.T, *d.y.T])

@@ -416,6 +416,21 @@ def test_non_finite_ini_number_exits_1(tmp_path, rooted, capsys, old, new, key):
 
 
 @pytest.mark.parametrize("old, new, key", [
+    ("prediction_horizon = 100", "prediction_horizon = 1000000000",
+     "[controller] prediction_horizon = '1000000000': exceeds 500"),
+    ("control_horizon = 50", "control_horizon = 1000000000",
+     "[controller] control_horizon = '1000000000': exceeds 500"),
+    ("total_length = 3000", "total_length = 1000000000",
+     "[excitation] total_length = '1000000000': exceeds 10000000"),
+], ids=["prediction-horizon", "control-horizon", "total-length"])
+def test_loader_bounds_the_keys_that_size_arrays(tmp_path, old, new, key):
+    # refused while parsing, before any matrix or sample record is allocated
+    with pytest.raises(ConfigError) as err:
+        load_experiment_config(_tracking_ini(tmp_path, old, new))
+    assert str(err.value) == key
+
+
+@pytest.mark.parametrize("old, new, key", [
     ("duration = 120", "duration = -5", "[run] duration"),
     ("duration = 120", "duration = 120.2", "[run] duration"),
     ("split_fraction = 0.7", "split_fraction = 2", "[identification] split_fraction"),

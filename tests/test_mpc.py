@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import sidmpc.mpc as mpc
-from sidmpc.errors import NumericalError
 from sidmpc.mpc import SOFT_PENALTY, MpcConfig, MpcController, build_prediction
 from sidmpc.qp import QpProblem, solve_qp
 from sidmpc.ssmodel import StateSpaceModel, simulate
@@ -301,7 +300,8 @@ def test_unrecoverable_step_holds_input():
     u_k, diag = ctrl.control_step([0.0], [0.0])
     assert diag["fallback"] is True
     assert diag["fallback_failed"] is True
-    assert u_k[0] == pytest.approx(5.0)
+    assert "infeasible" in diag["held"] and np.isnan(diag["J"])
+    assert u_k[0] == 5.0 and ctrl.u_prev[0] == 5.0
 
 
 def test_soft_problem_built_once_and_matches_a_fresh_one(monkeypatch):
@@ -345,8 +345,11 @@ def test_non_finite_measurement_leaves_the_controller_unchanged():
     ctrl = MpcController(md, cfg)
     ctrl.control_step([0.2], [1.0])
     x, u = ctrl.estimator.xhat.copy(), ctrl.u_prev.copy()
-    with pytest.raises(NumericalError, match="not finite"):
-        ctrl.control_step([np.nan], [1.0])
+    u_k, diag = ctrl.control_step([np.nan], [1.0])
+    assert diag["fallback_failed"] and not diag["fallback"]
+    assert diag["held"] == "controller failed: measurement y_k[0] = nan is not finite"
+    assert np.isnan(diag["J"]) and np.isnan(diag["yhat"]).all()
+    assert np.array_equal(u_k, u)
     assert np.array_equal(ctrl.estimator.xhat, x)
     assert np.array_equal(ctrl.u_prev, u)
     u_k, diag = ctrl.control_step([0.3], [1.0])

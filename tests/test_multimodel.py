@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sidmpc.config import load_experiment_config
-from sidmpc.errors import ConfigError, NumericalError
+from sidmpc.errors import ConfigError
 from sidmpc.mpc import MpcConfig, MpcController
 from sidmpc.multimodel import ModelBank, mm_control_step
 from sidmpc.ssmodel import KalmanState, StateSpaceModel, kalman_step, solve_dare
@@ -173,7 +173,7 @@ def _stub(ctrl, j_schedule):
     it = iter(j_schedule)
 
     def fake(y_k, ref):
-        return np.array([0.0]), {"J": next(it)}
+        return np.array([0.0]), {"J": next(it), "fallback_failed": False}
 
     ctrl._step_core = fake
 
@@ -209,34 +209,51 @@ def test_threshold_bounds_validated():
 # failure handling
 
 
-def _raiser(ctrl):
-    def fail(y_k, ref):
-        raise NumericalError("scripted failure")
-    ctrl._step_core = fail
-
-
 def test_all_failed_holds_previous_input():
     c1, c2 = make_ctrl(scalar_model(0.9, 1.0)), make_ctrl(scalar_model(0.7, 0.5))
     bank = ModelBank([("a", c1), ("b", c2)])
     plant_loop(bank, 5)
     held = bank.entries[0][1].u_prev.copy()
-    _raiser(c1)
-    _raiser(c2)
-    u, sel, J = mm_control_step(bank, [0.0], [1.0])
+    # every estimator refuses the measurement, so every member holds
+    u, sel, J = mm_control_step(bank, [np.nan], [1.0])
     assert np.array_equal(u, held)
     assert sel is None
     assert not np.any(np.isfinite(J))
-    assert all("error" in d for d in bank.last_diagnostics)
+    for d in bank.last_diagnostics:
+        assert d["fallback_failed"] and "not finite" in d["held"]
+        assert np.isnan(d["J"]) and np.isnan(d["yhat"]).all()
+    assert all(np.array_equal(c.u_prev, held) for c in (c1, c2))
 
 
 def test_partial_failure_selects_survivor():
-    c1, c2 = make_ctrl(scalar_model(0.9, 1.0)), make_ctrl(scalar_model(0.7, 0.5))
+    c1 = MpcController(scalar_model(0.9, 1.0), loop_cfg(), x0=[np.inf])
+    c2 = make_ctrl(scalar_model(0.7, 0.5))
     bank = ModelBank([("a", c1), ("b", c2)])
-    _raiser(c1)
-    u, sel, J = mm_control_step(bank, [0.3], [1.0])
+    # c1's state makes its QP data non-finite: it holds, c2 supplies the move
+    with np.errstate(invalid="ignore"):
+        u, sel, J = mm_control_step(bank, [0.3], [1.0])
     assert sel == "b"
     assert not np.isfinite(J[0]) and np.isfinite(J[1])
-    assert "error" in bank.last_diagnostics[0]
+    assert "QP data f has a non-finite entry" in bank.last_diagnostics[0]["held"]
+    assert np.array_equal(u, c1.u_prev) and np.array_equal(u, c2.u_prev)
+
+
+def test_held_member_never_beats_one_that_solved():
+    # member a's outputs start above the ceiling and its solver may make no
+    # working-set change, so both its hard and its softened QP fail; its cost
+    # at a zero move (about 26) is below b's optimum (about 98), but a hold
+    # must not win over a member that solved
+    cfg = loop_cfg(y_min=[-1.0], y_max=[1.0])
+    md = scalar_model(0.9, 1.0)
+    a = MpcController(md, cfg, x0=[5.0], qp_max_iter=0)
+    bank = ModelBank([("a", a), ("b", MpcController(md, cfg))])
+    u_b, diag_b = MpcController(md, cfg).control_step([4.5], [4.5])
+    u, sel, J = mm_control_step(bank, [4.5], [4.5])
+    assert sel == "b" and np.array_equal(u, u_b) and u[0] != 0.0
+    assert J[0] == np.inf and J[1] == diag_b["J"]
+    diag_a = bank.last_diagnostics[0]
+    assert diag_a["fallback"] and diag_a["fallback_failed"]
+    assert "change cap 0" in diag_a["held"]
 
 
 # ---------------------------------------------------------------------------

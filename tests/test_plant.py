@@ -183,6 +183,22 @@ def test_input_side_disturbance_drives_the_state():
     assert np.any(state.x != 0.0)
 
 
+def test_output_and_step_share_the_input_path():
+    # input-side disturbance with a direct feedthrough: plant_output at the
+    # stepped state must measure what plant_step measured there
+    cfg = make_default_fccu(disturbance_entry="input")
+    cfg.d_low = np.array([[0.3, -0.1], [0.2, 0.4]])
+    cfg.d_high = 1.5 * cfg.d_low
+    state = make_state(cfg, seed=None)
+    u, d = [52.0, 31.0], [3.0]
+    for _ in range(3):
+        state, y = plant_step(state, u, d)
+    assert np.array_equal(plant_output(state, u, d), y)
+    assert not np.array_equal(plant_output(state, u), y)
+    with pytest.raises(ConfigError, match="plant expects 2"):
+        plant_output(state, [50.0], d)
+
+
 def test_disturbance_channel_mismatch():
     cfg = make_default_fccu()
     state = make_state(cfg, seed=None)

@@ -2,7 +2,9 @@
 
 A model file either round-trips exactly or is refused with a ConfigError;
 an experiment config either loads or is refused with an error of the
-package's own kinds.  Any other exception escaping a loader is a bug in it.
+package's own kinds; a schedule either is refused with a ConfigError or
+reads back every row at the times that select it.  Any other exception
+escaping a loader is a bug in it.
 """
 
 import re
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from sidmpc.config import load_experiment_config
 from sidmpc.errors import ConfigError, SidmpcError
+from sidmpc.runner import Schedule, parse_schedule
 from sidmpc.ssmodel import StateSpaceModel, load_model, predictor_radius, save_model
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -165,3 +168,79 @@ def test_mutated_config_raises_only_package_errors(tmp_path_factory, config, dat
         load_experiment_config(path)
     except SidmpcError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# schedules
+
+# times on a coarse grid, so that duplicates are drawn often
+SCHEDULE_TIMES = st.integers(-20, 20).map(lambda i: i / 4)
+
+
+@st.composite
+def schedule_rows(draw):
+    """(width, rows): unsorted rows that now and then repeat a time or
+    change width."""
+    width = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        w = draw(st.sampled_from([width] * 5 + [width + 1]))
+        rows.append((draw(SCHEDULE_TIMES), [draw(finite) for _ in range(w)]))
+    return width, rows
+
+
+def last_row_at(rows, t, default):
+    """Value of the row with the latest time <= t, else default."""
+    due = [(time, v) for time, v in rows if time <= t]
+    return max(due, key=lambda r: r[0])[1] if due else default
+
+
+def probe_times(rows):
+    times = sorted({time for time, _ in rows}) or [0.0]
+    return times + [t + d for t in times for d in (-0.1, 0.1)] + [times[0] - 100.0]
+
+
+def assert_matches_oracle(schedule, rows, width):
+    default = np.full(width, -7.5)
+    for t in probe_times(rows):
+        np.testing.assert_array_equal(schedule.value_at(t, default),
+                                      last_row_at(rows, t, default))
+
+
+def repeats_a_time(rows):
+    times = [time for time, _ in rows]
+    return len(set(times)) < len(times)
+
+
+@BOUNDED
+@given(drawn=schedule_rows())
+def test_schedule_reads_the_last_due_row_or_refuses(drawn):
+    width, rows = drawn
+    faulty = repeats_a_time(rows) or len({len(v) for _, v in rows}) > 1
+    try:
+        schedule = Schedule(rows)
+    except ConfigError:
+        assert faulty
+        return
+    assert not faulty
+    assert_matches_oracle(schedule, rows, width)
+
+
+@BOUNDED
+@given(drawn=schedule_rows(), blank=st.lists(st.booleans(), max_size=6))
+def test_parsed_schedule_reads_the_last_due_row_or_refuses(drawn, blank):
+    width, rows = drawn
+    faulty = repeats_a_time(rows) or any(len(v) != width for _, v in rows)
+    lines = []
+    for (time, v), gap in zip(rows, blank + [False] * len(rows)):
+        lines += [" ".join(repr(float(x)) for x in (time, *v))] + ([""] if gap else [])
+    try:
+        schedule = parse_schedule("\n".join(lines), width, "[run] setpoints")
+    except ConfigError:
+        assert faulty
+        return
+    assert not faulty
+    if not rows:
+        assert schedule is None
+        return
+    assert_matches_oracle(schedule, rows, width)

@@ -247,15 +247,15 @@ def test_non_finite_measurement_holds_the_input(monkeypatch):
     sched = Schedule([(1.0, [780.0, 970.0])])
     single = fccu_controller(plant)
     bank = ModelBank([("a", fccu_controller(plant)), ("b", fccu_controller(plant))])
-    for ctrl, reason in ((single, "controller failed: measurement y_k[1] = nan"),
-                         (bank, "every bank controller failed")):
+    for ctrl in (single, bank):
         res = run_closed_loop(plant, ctrl, duration=10.0, setpoints=sched)
         assert np.isnan(res.y[k_nan, 1])
         assert np.flatnonzero(res.fallback_failed).tolist() == [k_nan]
         assert not res.fallback.any()
         assert np.array_equal(res.u[k_nan], res.u[k_nan - 1])
-        assert res.warnings == [f"t=3: {reason}" + (" is not finite" if ctrl is single
-                                                     else "") + "; input held"]
+        assert np.isnan(res.J[k_nan]) and np.isnan(res.yhat[k_nan]).all()
+        assert res.warnings == ["t=3: controller failed: measurement y_k[1] = nan "
+                                "is not finite; input held"]
         # the estimators never saw the NaN: the next instant moves again
         assert np.all(np.isfinite(res.du[k_nan + 1:])) and np.any(res.du[k_nan + 1] != 0)
         assert np.all(np.isfinite(np.delete(res.J, k_nan)))
