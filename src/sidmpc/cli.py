@@ -193,8 +193,7 @@ def _write_trajectory(path: Path, result: RunResult) -> None:
 
 
 def _write_diagnostics(path: Path, result: RunResult) -> None:
-    _write_run_columns(path, result,
-                       ("t", "y", "yhat", "u", "du", "J", "model_id", "fallback"))
+    _write_run_columns(path, result, ("t", "yhat", "fallback"))
 
 
 def _write_run_columns(path: Path, result: RunResult, fields) -> None:

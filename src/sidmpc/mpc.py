@@ -32,9 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, NumericalError
-from .qp import QpProblem, solve_qp
-from .ssmodel import KalmanState, StateSpaceModel, _observability_stack, kalman_step
+from .errors import ConfigError, ConvergenceError, InfeasibleError, NumericalError
+from .qp import DEFAULT_MAX_ITER, QpProblem, solve_qp
+from .ssmodel import (KalmanState, StateSpaceModel, _observability_stack,
+                      _require_finite, kalman_step)
 
 SOFT_PENALTY = 1e6
 
@@ -43,9 +44,9 @@ SOFT_PENALTY = 1e6
 class MpcConfig:
     """Horizons, weights, and constraint windows, all in deviation units.
 
-    Q_weights is one weight per output channel, or a (P, p) array for
-    time-varying weights; R_weights likewise per input with optional (M, m)
-    shape.  y bounds are mandatory, input and move bounds optional.
+    Q_weights is one weight per output channel and R_weights one per
+    input, each held over its horizon.  y bounds are mandatory, input and
+    move bounds optional.
     """
 
     P: int
@@ -116,13 +117,11 @@ class MpcController:
     """
 
     def __init__(self, model: StateSpaceModel, cfg: MpcConfig,
-                 x0=None, u_prev=None, qp_tol: float = 1e-9,
-                 qp_max_iter: int = 20000):
+                 x0=None, u_prev=None, qp_max_iter: int = DEFAULT_MAX_ITER):
         if abs(model.ts - cfg.ts) > 1e-12 * max(model.ts, cfg.ts):
             raise ValueError(f"model ts {model.ts} differs from config ts {cfg.ts}")
         self.model = model
         self.cfg = cfg
-        self.qp_tol = qp_tol
         self.qp_max_iter = qp_max_iter
         n, m, p = model.n, model.m, model.p
         if cfg.y_min.shape[0] != p:
@@ -135,6 +134,7 @@ class MpcController:
         self.estimator = KalmanState(model, x0)
         self.u_prev = (np.zeros(m) if u_prev is None
                        else np.asarray(u_prev, dtype=float).reshape(m).copy())
+        _require_finite("initial input u_prev", self.u_prev, ConfigError)
 
         self.Phi, self.Psi, self.Theta = build_prediction(model, cfg)
         self.qbar = self._stack_weights(cfg.Q_weights, cfg.P, p, "Q_weights")
@@ -155,13 +155,9 @@ class MpcController:
 
     @staticmethod
     def _stack_weights(w: np.ndarray, steps: int, width: int, name: str):
-        if w.ndim == 1:
-            if w.shape[0] != width:
-                raise ValueError(f"{name} has length {w.shape[0]}, expected {width}")
-            return np.tile(w, steps)
-        if w.shape != (steps, width):
-            raise ValueError(f"{name} must be ({steps}, {width}), got {w.shape}")
-        return w.reshape(-1)
+        if w.shape != (width,):
+            raise ValueError(f"{name} must have shape ({width},), got {w.shape}")
+        return np.tile(w, steps)
 
     def _constraint_rows(self):
         cfg, m = self.cfg, self.model.m
@@ -177,21 +173,19 @@ class MpcController:
         return np.vstack(blocks), np.concatenate(b)
 
     def assemble_qp(self, xhat, ref) -> QpProblem:
-        """QP over DU for the given state estimate and reference stack (of
-        length p, held over the horizon, or P p).  Writes f and the output
-        and input rows of b in place; the move rows were set at build."""
-        ref = np.asarray(ref, dtype=float).reshape(-1)
+        """QP over DU for the given state estimate and setpoint (a p-vector,
+        held over the horizon).  Writes f and the output and input rows of b
+        in place; the move rows were set at build."""
+        ref = np.asarray(ref, dtype=float)
         p, P_, M_ = self.model.p, self.cfg.P, self.cfg.M
-        if ref.shape[0] == p:
-            if not (ref == self._ref_tiled[:p]).all():
-                self._ref_tiled = np.tile(ref, P_)
-            ref = self._ref_tiled
-        elif ref.shape[0] != P_ * p:
-            raise ValueError(f"ref must have length {p} or {P_ * p}, got {ref.shape[0]}")
+        if ref.shape != (p,):
+            raise ValueError(f"ref must have shape ({p},), got {ref.shape}")
+        if not (ref == self._ref_tiled[:p]).all():
+            self._ref_tiled = np.tile(ref, P_)
         free, qp, ny = self._free, self._qp, P_ * p
         np.matmul(self.Phi, np.asarray(xhat, dtype=float).reshape(-1), out=free)
         free += self.Psi @ self.u_prev
-        np.matmul(self._grad, np.subtract(free, ref, out=self._err), out=qp.f)
+        np.matmul(self._grad, np.subtract(free, self._ref_tiled, out=self._err), out=qp.f)
         b = qp.b_ineq
         np.subtract(self._ymax, free, out=b[:ny])
         np.subtract(free, self._ymin, out=b[ny:2 * ny])
@@ -199,27 +193,24 @@ class MpcController:
             u_rows = b[2 * ny:2 * ny + 2 * M_ * self.model.m].reshape(2, M_, -1)
             np.subtract(self.cfg.u_max, self.u_prev, out=u_rows[0])
             np.subtract(self.u_prev, self.cfg.u_min, out=u_rows[1])
-        self._ref = ref
         return qp
 
     def _soft_problem(self) -> QpProblem:
-        """Template of the softened QP, built at the first engagement:
-        variables [DU; slack], slack on every output row, the input and
-        move rows kept hard.  Its f and b are rewritten per engagement."""
+        """Template of the softened QP, built at the first engagement: the
+        hard rows over variables [DU; slack], one slack column per output
+        row entering both of its window rows with -1, the input and move
+        rows kept hard.  No s >= 0 row is needed: the window rows bound s
+        below by the violation and the penalty then puts s at
+        max(violation, 0).  Its f and b are rewritten per engagement."""
         if self._soft is None:
-            d = self.cfg.M * self.model.m
-            ns = self.cfg.P * self.model.p
-            H = np.zeros((d + ns, d + ns))
-            H[:d, :d] = self._qp.H
-            H[d:, d:] = 2.0 * SOFT_PENALTY * np.eye(ns)
-            A_hard = self._qp.A_ineq[2 * ns:]
-            A = np.vstack([
-                np.hstack([self.Theta, -np.eye(ns)]),
-                np.hstack([-self.Theta, -np.eye(ns)]),
-                np.hstack([np.zeros((ns, d)), -np.eye(ns)]),
-                np.hstack([A_hard, np.zeros((A_hard.shape[0], ns))]),
-            ])
-            self._soft = QpProblem(H, np.zeros(d + ns), A, np.zeros(A.shape[0]))
+            qp, ns = self._qp, self.cfg.P * self.model.p
+            H = np.zeros((qp.d + ns, qp.d + ns))
+            H[:qp.d, :qp.d] = qp.H
+            H[qp.d:, qp.d:] = 2.0 * SOFT_PENALTY * np.eye(ns)
+            S = np.zeros((qp.r, ns))
+            S[:2 * ns] = np.tile(-np.eye(ns), (2, 1))
+            self._soft = QpProblem(H, np.zeros(qp.d + ns), np.hstack([qp.A_ineq, S]),
+                                   np.zeros(qp.r))
         return self._soft
 
     def _solve_soft(self, qp: QpProblem):
@@ -229,13 +220,10 @@ class MpcController:
         slack per output row), so the softened problem gets the hard
         problem's budget per variable.
         """
-        soft = self._soft_problem()
-        d, ns = qp.d, self.cfg.P * self.model.p
+        soft, d = self._soft_problem(), qp.d
         soft.f[:d] = qp.f
-        soft.b_ineq[:2 * ns] = qp.b_ineq[:2 * ns]
-        soft.b_ineq[3 * ns:] = qp.b_ineq[2 * ns:]
-        sol, active, _ = solve_qp(soft, tol=self.qp_tol,
-                                  max_iter=self.qp_max_iter * soft.d // d)
+        soft.b_ineq[:] = qp.b_ineq
+        sol, active, _ = solve_qp(soft, max_iter=self.qp_max_iter * soft.d // d)
         return sol[:d], sol[d:], active
 
     def _step_core(self, y_k, ref):
@@ -251,7 +239,7 @@ class MpcController:
             kalman_step(self.estimator, self.u_prev, y_k)
             qp = self.assemble_qp(self.estimator.xhat, ref)
             try:
-                dU, active, _ = solve_qp(qp, tol=self.qp_tol, max_iter=self.qp_max_iter)
+                dU, active, _ = solve_qp(qp, max_iter=self.qp_max_iter)
             except (InfeasibleError, ConvergenceError):
                 # a solve that hits its change cap is treated like
                 # infeasibility: soften and retry
@@ -270,7 +258,7 @@ class MpcController:
             dU[:m] = np.clip(dU[:m], -self.cfg.du_max, self.cfg.du_max)
         u_k = self.u_prev + dU[:m]
         yhat = self._free + self.Theta @ dU
-        err = self._ref - yhat
+        err = self._ref_tiled - yhat
         diag["J"] = float(err @ (self.qbar * err) + dU @ (self.rbar * dU))
         diag["active"] = active
         diag["yhat"] = yhat

@@ -10,10 +10,12 @@ share no state basis, so no state passes between them.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from .errors import ConfigError
-from .mpc import MpcController
+from .mpc import MpcConfig, MpcController
 
 
 class ModelBank:
@@ -53,20 +55,11 @@ class ModelBank:
         self.incumbent: "int | None" = None
 
 
-def _same_loop_config(a, b) -> bool:
-    if (a.P, a.M) != (b.P, b.M) or a.ts != b.ts:
-        return False
-    pairs = [
-        (a.Q_weights, b.Q_weights), (a.R_weights, b.R_weights),
-        (a.y_min, b.y_min), (a.y_max, b.y_max),
-        (a.u_min, b.u_min), (a.u_max, b.u_max), (a.du_max, b.du_max),
-    ]
-    for va, vb in pairs:
-        if (va is None) != (vb is None):
-            return False
-        if va is not None and not np.array_equal(va, vb):
-            return False
-    return True
+def _same_loop_config(a: MpcConfig, b: MpcConfig) -> bool:
+    # every field, so one added to MpcConfig is compared too; an absent bound
+    # (None) equals only another absent one
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(a))
 
 
 def mm_control_step(bank: ModelBank, y_k, ref_trajectory):

@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import ConvergenceError, InfeasibleError, NumericalError
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 10000
+DEFAULT_TOL = 1e-9
+DEFAULT_MAX_ITER = 20000
 # a candidate row whose curvature along the projected direction is below this
 # share of its curvature without W depends linearly on the rows of W
 DEPENDENT = 1e-10

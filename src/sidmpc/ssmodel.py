@@ -226,6 +226,15 @@ class KalmanState:
                 raise ValueError(
                     f"xhat has length {self.xhat.shape[0]}, model order is {self.model.n}"
                 )
+            # a non-finite start would fail every instant, so refuse it here
+            _require_finite("initial state xhat", self.xhat, ConfigError)
+
+
+def _require_finite(what: str, v: np.ndarray, error: type) -> None:
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"{what}[{i}] = {float(v[i])} is not finite")
 
 
 def kalman_step(ks: KalmanState, u_k, y_k):
@@ -242,10 +251,7 @@ def kalman_step(ks: KalmanState, u_k, y_k):
         raise ValueError(f"u_k has length {u_k.shape[0]}, model expects m={md.m}")
     if y_k.shape[0] != md.p:
         raise ValueError(f"y_k has length {y_k.shape[0]}, model expects p={md.p}")
-    bad = np.flatnonzero(~np.isfinite(y_k))
-    if bad.size:
-        i = int(bad[0])
-        raise NumericalError(f"measurement y_k[{i}] = {float(y_k[i])} is not finite")
+    _require_finite("measurement y_k", y_k, NumericalError)
     yhat = md.C @ ks.xhat + md.D @ u_k
     e = y_k - yhat
     ks.xhat = md.A @ ks.xhat + md.B @ u_k + md.K @ e

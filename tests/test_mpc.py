@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sidmpc.mpc as mpc
+from sidmpc.errors import ConfigError
 from sidmpc.mpc import SOFT_PENALTY, MpcConfig, MpcController, build_prediction
 from sidmpc.qp import QpProblem, solve_qp
 from sidmpc.ssmodel import StateSpaceModel, simulate
@@ -134,8 +135,8 @@ def test_assemble_qp_matches_hand_expansion():
 def test_assemble_qp_rows_track_state_input_and_reference(monkeypatch):
     # b_ineq and f are rewritten in place each instant over constants built
     # once; check every row against a hand expansion on successive instants
-    # whose u_prev, xhat and reference all change, the reference given as a
-    # held p-vector (twice, then a new one) and as a full P p stack
+    # whose u_prev, xhat and reference all change, the held setpoint given
+    # twice, then a new one, then the first again
     rng = np.random.default_rng(17)
     md = StateSpaceModel([[0.6, 0.2], [-0.1, 0.7]], rng.normal(size=(2, 2)),
                          rng.normal(size=(2, 2)), 0.1 * rng.normal(size=(2, 2)),
@@ -156,14 +157,13 @@ def test_assemble_qp_rows_track_state_input_and_reference(monkeypatch):
 
     monkeypatch.setattr(mpc, "solve_qp", recorded)
     r_a, r_b = np.array([1.0, -0.5]), np.array([-0.4, 0.8])
-    stack = rng.normal(size=P * 2)
-    refs = [r_a, r_a, stack, r_b]
+    refs = [r_a, r_a, r_b, r_a]
     for ref in refs:
         ctrl.control_step(rng.normal(size=2), ref)
     qbar = np.tile([1.5, 0.7], P)
     for (xhat, u_prev, f, b), ref in zip(seen, refs):
         free = simulate_prediction(md, P, M, xhat, u_prev, np.zeros(M * 2))
-        r = np.tile(ref, P) if ref.shape[0] == 2 else ref
+        r = np.tile(ref, P)
         want = np.concatenate([np.tile(y_max, P) - free, free - np.tile(y_min, P),
                                np.tile(u_max - u_prev, M), np.tile(u_prev - u_min, M),
                                np.tile(du_max, 2 * M)])
@@ -176,13 +176,15 @@ def test_assemble_qp_rows_track_state_input_and_reference(monkeypatch):
 
 
 def test_assemble_qp_reference_equal_free_response():
-    rng = np.random.default_rng(5)
+    # from the steady state of u_prev the free response is constant, so a
+    # setpoint at that level leaves nothing to track
     md = scalar_model()
     cfg = MpcConfig(P=3, M=2, Q_weights=[1.0], R_weights=[0.1], **WIDE)
     ctrl = MpcController(md, cfg, u_prev=[0.3])
-    xhat = rng.normal(size=1)
+    xhat = np.linalg.solve(np.eye(1) - md.A, md.B @ ctrl.u_prev)
     free = ctrl.Phi @ xhat + ctrl.Psi @ ctrl.u_prev
-    qp = ctrl.assemble_qp(xhat, free)
+    np.testing.assert_allclose(free, free[0], rtol=0, atol=1e-12)
+    qp = ctrl.assemble_qp(xhat, free[:1])
     np.testing.assert_allclose(qp.f, 0.0, atol=1e-12)
     from sidmpc.qp import solve_qp
     dU, _, _ = solve_qp(qp)
@@ -194,10 +196,9 @@ def test_assemble_qp_unit_q_zero_r_is_tracking_least_squares():
     cfg = MpcConfig(P=3, M=2, Q_weights=[1.0], R_weights=[0.0], **WIDE)
     ctrl = MpcController(md, cfg, u_prev=[0.0])
     xhat = np.array([0.7])
-    ref = np.array([1.0, 1.0, 1.0])
-    qp = ctrl.assemble_qp(xhat, ref)
+    qp = ctrl.assemble_qp(xhat, [1.0])
     free = ctrl.Phi @ xhat + ctrl.Psi @ ctrl.u_prev
-    np.testing.assert_allclose(qp.f, 2.0 * ctrl.Theta.T @ (free - ref),
+    np.testing.assert_allclose(qp.f, 2.0 * ctrl.Theta.T @ (free - 1.0),
                                rtol=0, atol=1e-12)
 
 
@@ -331,8 +332,7 @@ def test_soft_problem_built_once_and_matches_a_fresh_one(monkeypatch):
                        np.hstack([np.zeros((ns, 2)), -eye]),
                        np.hstack([qp.A_ineq[2 * ns:], np.zeros((8, ns))])])
         b = np.concatenate([qp.b_ineq[:2 * ns], np.zeros(ns), qp.b_ineq[2 * ns:]])
-        fresh, _, _ = solve_qp(QpProblem(H, np.concatenate([qp.f, np.zeros(ns)]), A, b),
-                               tol=ctrl.qp_tol)
+        fresh, _, _ = solve_qp(QpProblem(H, np.concatenate([qp.f, np.zeros(ns)]), A, b))
         dU, slack, _ = ctrl._solve_soft(qp)
         np.testing.assert_allclose(np.concatenate([dU, slack]), fresh, rtol=1e-9, atol=1e-12)
         assert diag["slack_max"] == pytest.approx(np.max(fresh[2:]), rel=1e-9)
@@ -371,13 +371,29 @@ def test_applied_move_keeps_the_move_limit_exactly(monkeypatch):
     assert diag["du"][0] == 0.1 and u_k[0] == 0.1
 
 
-def test_time_varying_weights_accepted():
+def test_time_varying_weights_refused():
+    # weights are one per channel and the setpoint one p-vector, held over
+    # the horizon; a per-step array of either is refused by its shape
     md = scalar_model()
     Q = np.linspace(1.0, 2.0, 4).reshape(4, 1)
-    cfg = MpcConfig(P=4, M=2, Q_weights=Q, R_weights=np.zeros((2, 1)), **WIDE)
-    ctrl = MpcController(md, cfg)
-    u_k, diag = ctrl.control_step([0.1], [1.0])
-    assert np.isfinite(diag["J"])
+    with pytest.raises(ValueError, match=r"Q_weights must have shape \(1,\), got \(4, 1\)"):
+        MpcController(md, MpcConfig(P=4, M=2, Q_weights=Q, R_weights=[0.0], **WIDE))
+    with pytest.raises(ValueError, match=r"R_weights must have shape \(1,\), got \(2, 1\)"):
+        MpcController(md, MpcConfig(P=4, M=2, Q_weights=[1.0], R_weights=np.zeros((2, 1)),
+                                    **WIDE))
+    ctrl = MpcController(md, MpcConfig(P=4, M=2, Q_weights=[1.0], R_weights=[0.0], **WIDE))
+    with pytest.raises(ValueError, match=r"ref must have shape \(1,\), got \(4,\)"):
+        ctrl.control_step([0.1], np.ones(4))
+
+
+def test_non_finite_initial_state_or_input_refused():
+    md = StateSpaceModel(0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)),
+                         np.zeros((1, 1)), np.zeros((2, 1)))
+    cfg = MpcConfig(P=3, M=1, Q_weights=[1.0], R_weights=[0.1], **WIDE)
+    with pytest.raises(ConfigError, match=r"initial state xhat\[1\] = inf is not finite"):
+        MpcController(md, cfg, x0=[0.0, np.inf])
+    with pytest.raises(ConfigError, match=r"initial input u_prev\[0\] = nan is not finite"):
+        MpcController(md, cfg, u_prev=[np.nan])
 
 
 def test_config_validation():

@@ -1,5 +1,6 @@
 """Tests for the supervisory controller bank and its selection rule."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -226,10 +227,11 @@ def test_all_failed_holds_previous_input():
 
 
 def test_partial_failure_selects_survivor():
-    c1 = MpcController(scalar_model(0.9, 1.0), loop_cfg(), x0=[np.inf])
+    c1 = make_ctrl(scalar_model(0.9, 1.0))
     c2 = make_ctrl(scalar_model(0.7, 0.5))
+    c1.u_prev = np.array([np.inf])
     bank = ModelBank([("a", c1), ("b", c2)])
-    # c1's state makes its QP data non-finite: it holds, c2 supplies the move
+    # c1's last input makes its QP data non-finite: it holds, c2 supplies the move
     with np.errstate(invalid="ignore"):
         u, sel, J = mm_control_step(bank, [0.3], [1.0])
     assert sel == "b"
@@ -301,7 +303,14 @@ def test_mismatched_timestep_rejected():
 
 
 def test_mismatched_loop_config_rejected():
-    other = loop_cfg(P=6, M=2)
-    with pytest.raises(ConfigError, match="horizons, weights, or"):
-        ModelBank([("a", make_ctrl(scalar_model(0.9, 1.0))),
-                   ("b", make_ctrl(scalar_model(0.7, 0.5), other))])
+    # a change to any one MpcConfig field is refused, an equal config built
+    # apart is accepted; ts is held to the model's own ts before this check
+    changes = [dict(P=6, M=2), dict(Q_weights=[2.0]), dict(R_weights=[0.1]),
+               dict(y_min=[-1e5]), dict(y_max=[1e5]), dict(u_min=[-9.0], u_max=[9.0]),
+               dict(du_max=[0.3]), dict(du_max=None)]
+    assert {k for c in changes for k in c} == {f.name for f in fields(MpcConfig)} - {"ts"}
+    first = ("a", make_ctrl(scalar_model(0.9, 1.0)))
+    ModelBank([first, ("b", make_ctrl(scalar_model(0.7, 0.5), loop_cfg()))])
+    for change in changes:
+        with pytest.raises(ConfigError, match="horizons, weights, or"):
+            ModelBank([first, ("b", make_ctrl(scalar_model(0.7, 0.5), loop_cfg(**change)))])

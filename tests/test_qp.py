@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
-from qp_oracle import enumerate_qp, random_feasible_qp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from qp_oracle import enumerate_qp, kkt_violation, random_feasible_qp
 
 from sidmpc.errors import ConvergenceError, InfeasibleError, NumericalError
 from sidmpc.qp import QpProblem, solve_qp
@@ -232,3 +234,54 @@ def test_constrained_solve_factors_only_working_set_blocks(monkeypatch):
     assert again == active and np.array_equal(u, u_first)
     assert calls, "the constrained path solves its working-set systems"
     assert max(max(shape) for shapes in calls for shape in shapes) <= k
+
+
+@st.composite
+def small_qps(draw):
+    """(H, f, A, b, infeasible): a strictly convex objective in d <= 4
+    variables under r <= 6 rows.  The rows hold at a drawn point with
+    nonnegative slack, unless the problem is drawn infeasible: then row 1 is
+    -(row 0) and asks for a gap of at least 0.1 beyond row 0's bound.
+
+    Row entries are quarters in [-3, 3], so zero, repeated and parallel rows
+    occur but no nonzero row is scaled below 0.25: feasibility is judged
+    within tol (1 + max|b|) whatever a row's scale, so a row like
+    1e-8 u <= 0 is met by points the oracle and the solver may pick apart.
+    """
+    def array(elements, *shape):
+        n = int(np.prod(shape))
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)),
+                        dtype=float).reshape(shape)
+
+    real, quarter = st.floats(-3.0, 3.0), st.integers(-12, 12).map(lambda k: k / 4)
+    d, infeasible = draw(st.integers(1, 4)), draw(st.booleans())
+    r = draw(st.integers(2 if infeasible else 1, 6))
+    G = array(real, d, d)
+    H = G @ G.T + draw(st.floats(0.1, 2.0)) * np.eye(d)
+    A = array(quarter, r, d)
+    b = A @ array(real, d) + array(st.floats(0.0, 3.0), r)
+    if infeasible:
+        A[1] = -A[0]
+        b[1] = -b[0] - draw(st.floats(0.1, 2.0))
+    return H, array(real, d), A, b, infeasible
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_qps())
+def test_solve_qp_is_optimal_or_refuses_only_infeasible_problems(drawn):
+    # at the defaults the controller runs with: a finite KKT point at the
+    # enumeration oracle's objective, or InfeasibleError exactly where the
+    # oracle finds no feasible point
+    H, f, A, b, infeasible = drawn
+    qp = QpProblem(H, f, A, b)
+    ref = enumerate_qp(qp.H, qp.f, qp.A_ineq, qp.b_ineq)
+    assert (ref is None) == infeasible
+    try:
+        u, active, val = solve_qp(qp)
+    except InfeasibleError:
+        assert ref is None
+        return
+    assert ref is not None
+    assert np.isfinite(u).all() and np.isfinite(val)
+    assert kkt_violation(qp.H, qp.f, qp.A_ineq, qp.b_ineq, u, active) <= 1e-9
+    assert val == pytest.approx(ref[1], abs=1e-6 * (1.0 + abs(ref[1])))
